@@ -9,13 +9,14 @@
 
 namespace igs::telemetry {
 
-// ----------------------------------------------------------------- counter
+// ------------------------------------------------------------------ shards
 
 std::size_t
-Counter::shard_index() noexcept
+thread_shard() noexcept
 {
-    // Threads are striped over shards round-robin at first use; the slot
-    // is computed once per thread, so inc() is one TLS read + fetch_add.
+    // The slot is computed once per thread, so a sharded update is one
+    // TLS read + one relaxed RMW on a line shared only with the threads
+    // striped to the same shard (none while at most kShards are live).
     static std::atomic<std::size_t> next{0};
     thread_local const std::size_t slot =
         next.fetch_add(1, std::memory_order_relaxed) % kShards;
@@ -25,7 +26,9 @@ Counter::shard_index() noexcept
 // --------------------------------------------------------------- histogram
 
 Histogram::Histogram(std::span<const double> bounds)
-    : bounds_(bounds.begin(), bounds.end()), counts_(bounds.size() + 1)
+    : bounds_(bounds.begin(), bounds.end()),
+      shard_slots_((kCountSlot + bounds.size() + 1 + 7) / 8 * 8),
+      lines_(std::make_unique<Line[]>(kShards * shard_slots_ / 8))
 {
     for (std::size_t i = 1; i < bounds_.size(); ++i) {
         IGS_CHECK_MSG(bounds_[i - 1] < bounds_[i],
@@ -34,11 +37,33 @@ Histogram::Histogram(std::span<const double> bounds)
 }
 
 std::uint64_t
+Histogram::bucket_count(std::size_t i) const
+{
+    std::uint64_t t = 0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+        t += slot_at(s * shard_slots_ + kCountSlot + i)
+                 .load(std::memory_order_relaxed);
+    }
+    return t;
+}
+
+std::uint64_t
 Histogram::total_count() const
 {
     std::uint64_t t = 0;
-    for (const auto& c : counts_) {
-        t += c.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+        t += bucket_count(i);
+    }
+    return t;
+}
+
+double
+Histogram::sum() const
+{
+    double t = 0.0;
+    for (std::size_t s = 0; s < kShards; ++s) {
+        t += std::bit_cast<double>(slot_at(s * shard_slots_ + kSumSlot)
+                                       .load(std::memory_order_relaxed));
     }
     return t;
 }
@@ -46,10 +71,9 @@ Histogram::total_count() const
 void
 Histogram::reset() noexcept
 {
-    for (auto& c : counts_) {
-        c.store(0, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < kShards * shard_slots_; ++i) {
+        slot_at(i).store(0, std::memory_order_relaxed); // 0 bits == +0.0
     }
-    sum_.reset();
 }
 
 // ---------------------------------------------------------------- registry

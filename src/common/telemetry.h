@@ -11,7 +11,8 @@
  *    increments from real-engine workers never bounce one cacheline;
  *  - @ref Gauge — double with set / add / watermark (CAS max);
  *  - @ref Histogram — fixed bucket bounds chosen at registration; record()
- *    is a bounded scan plus one relaxed fetch_add;
+ *    is a bounded scan plus two relaxed updates on the calling thread's
+ *    shard (bucket count and sum), sharded like Counter;
  *  - @ref PhaseTimer + @ref ScopedPhase — wall-clock accumulation for
  *    harness phases (never part of golden comparisons).
  *
@@ -36,6 +37,7 @@
 #define IGS_COMMON_TELEMETRY_H
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,6 +51,13 @@
 
 namespace igs::telemetry {
 
+/** Shards per sharded metric (Counter, Histogram). */
+inline constexpr std::size_t kShards = 8;
+
+/** The calling thread's shard in [0, kShards): threads are striped over
+ *  shards round-robin at first use, so one thread always hits one shard. */
+std::size_t thread_shard() noexcept;
+
 /** Monotonic counter; increments are relaxed fetch_adds on a per-thread
  *  shard (no shared-line bouncing under the real-time engine's workers). */
 class Counter {
@@ -60,7 +69,7 @@ class Counter {
     void
     inc(std::uint64_t n = 1) noexcept
     {
-        shards_[shard_index()].v.fetch_add(n, std::memory_order_relaxed);
+        shards_[thread_shard()].v.fetch_add(n, std::memory_order_relaxed);
     }
 
     /** Sum over shards (merge); racing increments may or may not be seen. */
@@ -82,14 +91,10 @@ class Counter {
         }
     }
 
-    static constexpr std::size_t kShards = 8;
-
   private:
     struct alignas(64) Shard {
         std::atomic<std::uint64_t> v{0};
     };
-
-    static std::size_t shard_index() noexcept;
 
     Shard shards_[kShards];
 };
@@ -135,6 +140,12 @@ class Gauge {
  * Fixed-bucket histogram.  Bucket i counts samples with
  * `v <= bounds[i]` (first matching bound); the implicit last bucket is
  * +inf.  Bounds are fixed at registration so record() never allocates.
+ *
+ * Sharded like @ref Counter: each shard owns its own cache lines holding
+ * a running sum and one count per bucket, so workers recording per edge
+ * never bounce a shared line.  Readers merge the shards in shard order;
+ * samples from one thread land in one shard, so a single-threaded
+ * recorder's sum() is bit-identical to one sequential accumulation.
  */
 class Histogram {
   public:
@@ -142,6 +153,8 @@ class Histogram {
     Histogram(const Histogram&) = delete;
     Histogram& operator=(const Histogram&) = delete;
 
+    /** Bounded bucket scan, then a relaxed fetch_add on the bucket count
+     *  and an (uncontended) CAS on the sum, both in the caller's shard. */
     void
     record(double v) noexcept
     {
@@ -149,23 +162,42 @@ class Histogram {
         while (i < bounds_.size() && v > bounds_[i]) {
             ++i;
         }
-        counts_[i].fetch_add(1, std::memory_order_relaxed);
-        sum_.add(v);
+        const std::size_t base = thread_shard() * shard_slots_;
+        slot_at(base + kCountSlot + i)
+            .fetch_add(1, std::memory_order_relaxed);
+        std::atomic<std::uint64_t>& sum_bits = slot_at(base + kSumSlot);
+        std::uint64_t cur = sum_bits.load(std::memory_order_relaxed);
+        while (!sum_bits.compare_exchange_weak(
+            cur, std::bit_cast<std::uint64_t>(std::bit_cast<double>(cur) + v),
+            std::memory_order_relaxed)) {
+        }
     }
 
     const std::vector<double>& bounds() const { return bounds_; }
-    std::uint64_t bucket_count(std::size_t i) const
-    {
-        return counts_[i].load(std::memory_order_relaxed);
-    }
+    std::uint64_t bucket_count(std::size_t i) const;
     std::uint64_t total_count() const;
-    double sum() const { return sum_.value(); }
+    double sum() const;
     void reset() noexcept;
 
   private:
+    /** Slot layout of one shard: the sum's bits, then the bucket counts. */
+    static constexpr std::size_t kSumSlot = 0;
+    static constexpr std::size_t kCountSlot = 1;
+
+    struct alignas(64) Line {
+        std::atomic<std::uint64_t> slot[8];
+    };
+
+    std::atomic<std::uint64_t>&
+    slot_at(std::size_t i) const noexcept
+    {
+        return lines_[i / 8].slot[i % 8];
+    }
+
     std::vector<double> bounds_;
-    std::vector<std::atomic<std::uint64_t>> counts_; // bounds_.size() + 1
-    Gauge sum_;
+    /** Slots per shard, rounded up to whole cache lines. */
+    std::size_t shard_slots_;
+    std::unique_ptr<Line[]> lines_; // kShards * shard_slots_ / 8 lines
 };
 
 /** Wall-clock phase accumulator (total seconds + invocation count). */

@@ -88,6 +88,7 @@ struct EngineTelemetry {
         if (report.defer_compute) {
             oca_deferred_rounds.inc();
         }
+        // igs-lint: allow(hot-path-shared-cas) -- once per batch, ingest thread
         instrumentation_cycles.add(report.instrumentation_cycles);
     }
 };

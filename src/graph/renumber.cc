@@ -24,20 +24,39 @@ LocalityMonitor::window_score(const VertexIdMap& map)
     if (touched_.empty() || accesses_ == 0) {
         return 1.0;
     }
-    // Hot set: the smallest count-descending prefix of touched vertices
-    // covering hot_coverage of the window's accesses.
-    std::sort(touched_.begin(), touched_.end(),
-              [this](VertexId a, VertexId b) {
-                  return counts_[a] != counts_[b] ? counts_[a] > counts_[b]
-                                                  : a < b;
-              });
+    // Counting pass: level_[c] = how many touched vertices the window saw
+    // exactly c times.
+    level_.clear();
+    for (VertexId v : touched_) {
+        const std::uint32_t c = counts_[v];
+        if (c >= level_.size()) {
+            level_.resize(c + 1, 0);
+        }
+        ++level_[c];
+    }
+    // Hot set: the smallest prefix of touched vertices in (count desc,
+    // id asc) order covering hot_coverage of the window's accesses.  Walk
+    // the levels hottest first; each takes the fewest of its vertices that
+    // reach `want`, so the prefix ends `cut_take` vertices into level
+    // `cut`.  `covered` counts accesses, so it is exact as a double and
+    // `covered < want` holds exactly when `covered < target`.
     const double want =
         params_.hot_coverage * static_cast<double>(accesses_);
+    const std::uint64_t target =
+        want > 0.0 ? static_cast<std::uint64_t>(std::ceil(want)) : 0;
     std::uint64_t covered = 0;
     std::size_t hot = 0;
-    while (hot < touched_.size() && static_cast<double>(covered) < want) {
-        covered += counts_[touched_[hot]];
-        ++hot;
+    std::uint32_t cut = 0;
+    std::uint32_t cut_take = 0;
+    for (std::uint32_t c = static_cast<std::uint32_t>(level_.size() - 1);
+         c >= 1 && static_cast<double>(covered) < want; --c) {
+        const std::uint64_t need = (target - covered + c - 1) / c;
+        const auto taken = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(level_[c], need));
+        covered += std::uint64_t{taken} * c;
+        hot += taken;
+        cut = c;
+        cut_take = taken;
     }
     if (hot == 0) {
         return 1.0;
@@ -54,10 +73,22 @@ LocalityMonitor::window_score(const VertexIdMap& map)
     }
     // Placement density: how many distinct row-lines the hot set's
     // *physical* placement spreads over, versus the minimum possible.
+    // Every vertex above the cut level is hot; at the cut level the
+    // id-ascending tie-break takes the cut_take smallest ids.
     lines_scratch_.clear();
-    lines_scratch_.reserve(hot);
-    for (std::size_t i = 0; i < hot; ++i) {
-        lines_scratch_.push_back(map.to_physical(touched_[i]) /
+    cut_scratch_.clear();
+    for (VertexId v : touched_) {
+        if (counts_[v] > cut) {
+            lines_scratch_.push_back(map.to_physical(v) /
+                                     params_.rows_per_line);
+        } else if (counts_[v] == cut) {
+            cut_scratch_.push_back(v);
+        }
+    }
+    std::nth_element(cut_scratch_.begin(), cut_scratch_.begin() + cut_take,
+                     cut_scratch_.end());
+    for (std::uint32_t i = 0; i < cut_take; ++i) {
+        lines_scratch_.push_back(map.to_physical(cut_scratch_[i]) /
                                  params_.rows_per_line);
     }
     std::sort(lines_scratch_.begin(), lines_scratch_.end());

@@ -83,9 +83,11 @@ struct RenumberParams {
  * Per-window access-locality statistics.  One window = one ingested
  * batch: the engine feeds every src/dst row touch, then closes the
  * window against the backend's current id map.  All state is owned by
- * the ingest thread; cost per touch is one counter bump, and the
- * histogram reset at window close touches only the vertices the window
- * actually saw.
+ * the ingest thread; cost per touch is one counter bump.  Closing a
+ * window costs O(touched + max count): a counting pass over the touched
+ * vertices' counts finds the hot set's size (all the skew gate needs),
+ * per-id work runs only for windows that pass the gate, and the
+ * histogram reset touches only the vertices the window actually saw.
  */
 class LocalityMonitor {
   public:
@@ -147,8 +149,11 @@ class LocalityMonitor {
     RenumberParams params_;
     std::vector<std::uint32_t> counts_;
     std::vector<VertexId> touched_;
-    /** Reused per window by window_score (hot-set line ids). */
+    /** Reused per window by window_score: touched vertices per count
+     *  level, hot-set line ids, and the ids tied at the cut level. */
+    std::vector<std::uint32_t> level_;
     std::vector<VertexId> lines_scratch_;
+    std::vector<VertexId> cut_scratch_;
     std::uint64_t accesses_ = 0;
     double ewma_ = 1.0;
     double last_score_ = 1.0;

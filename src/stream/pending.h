@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/radix.h"
 #include "common/types.h"
 #include "stream/batch.h"
 
@@ -65,17 +66,15 @@ class PendingAccumulator {
     /**
      * Hand the accumulated work to the compute phase, stamped with the
      * epoch it was published under.  `affected` is deduplicated (sorted
-     * unique) so snapshot publication copies each dirty vertex once.
-     * The accumulator resets and its buffers are reusable.
+     * unique, in linear time) so snapshot publication copies each dirty
+     * vertex once.  The buffers move out with the work: the accumulator
+     * starts the next epoch empty and keeps no capacity of its own.
      */
     PendingWork
     hand_off(EpochId epoch)
     {
         PendingWork w;
-        std::sort(affected_.begin(), affected_.end());
-        affected_.erase(std::unique(affected_.begin(), affected_.end()),
-                        affected_.end());
-        w.affected = std::move(affected_);
+        w.affected = sorted_unique(std::move(affected_));
         w.inserted = std::move(inserted_);
         w.deleted = std::move(deleted_);
         w.batches = batches_;
@@ -94,6 +93,45 @@ class PendingAccumulator {
     bool empty() const { return batches_ == 0 && affected_.empty(); }
 
   private:
+    /**
+     * Sort `ids` ascending and drop duplicates in O(n): stable LSD
+     * counting passes (common/radix.h) over `id - min`, so a window of
+     * ids far from 0 still takes the fewest passes, then one unique pass.
+     * The pass buffer and the histogram live only for this call, so no
+     * scratch sized by the largest epoch (a bulk-load prefix) outlives it.
+     */
+    static std::vector<VertexId>
+    sorted_unique(std::vector<VertexId> ids)
+    {
+        if (ids.size() < 2) {
+            return ids;
+        }
+        const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+        const VertexId base = *lo;
+        const VertexId max_key = *hi - base;
+        const RadixPlan plan = plan_radix(ids.size(), max_key);
+        std::vector<VertexId> pass_out;
+        std::vector<std::uint32_t> hist;
+        // igs-lint: allow(hot-path-alloc) -- per-epoch scratch, freed on return
+        pass_out.resize(ids.size());
+        // igs-lint: allow(hot-path-alloc) -- per-epoch scratch, freed on return
+        hist.resize(plan.buckets());
+        for (std::uint32_t pass = 0; pass < plan.passes; ++pass) {
+            const std::uint32_t shift = pass * plan.bits;
+            std::fill(hist.begin(), hist.end(), 0u);
+            for (VertexId v : ids) {
+                ++hist[((v - base) >> shift) & plan.mask()];
+            }
+            radix_exclusive_offsets(hist.data(), 1, hist.size(), hist.size());
+            for (VertexId v : ids) {
+                pass_out[hist[((v - base) >> shift) & plan.mask()]++] = v;
+            }
+            ids.swap(pass_out);
+        }
+        ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        return ids;
+    }
+
     std::vector<VertexId> affected_;
     std::vector<StreamEdge> inserted_;
     std::vector<StreamEdge> deleted_;

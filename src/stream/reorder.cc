@@ -126,9 +126,11 @@ Reorderer::reorder(std::span<const StreamEdge> edges, ThreadPool& pool)
     }
     // Arena high-water marks, in elements (DESIGN.md §9: watermark gauges
     // track steady-state capacity, the arena's zero-allocation guarantee).
+    // igs-lint: allow(hot-path-shared-cas) -- once per batch, ingest thread
     t.scratch_edges_watermark.watermark(static_cast<double>(
         scratch_.rb.by_src.edges.capacity() +
         scratch_.rb.by_dst.edges.capacity() + scratch_.tmp.capacity()));
+    // igs-lint: allow(hot-path-shared-cas) -- once per batch, ingest thread
     t.scratch_hist_watermark.watermark(static_cast<double>(
         scratch_.hist.capacity() + scratch_.hist_dst.capacity()));
     return scratch_.rb;

@@ -20,6 +20,7 @@
 #include "analytics/sssp.h"
 #include "analytics/traversal.h"
 #include "common/mutex.h"
+#include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "gen/edge_stream.h"
@@ -156,6 +157,142 @@ TEST(PendingAccumulator, DeleteThenInsertOfSameEdgeWithinAggregatedWindow)
     // The accumulator reset: a following window starts clean.
     EXPECT_TRUE(acc.empty());
     EXPECT_EQ(acc.pending_batches(), 0u);
+}
+
+/** The hand-off's contract for `affected`: std::sort + std::unique. */
+std::vector<VertexId>
+sort_unique_oracle(const std::vector<stream::EdgeBatch>& batches)
+{
+    std::vector<VertexId> ids;
+    for (const auto& b : batches) {
+        for (const StreamEdge& e : b.edges()) {
+            ids.push_back(e.src);
+            ids.push_back(e.dst);
+        }
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
+}
+
+/** Random batch of `n` edges with endpoints in [lo, lo + span). */
+stream::EdgeBatch
+random_batch(std::uint64_t bid, Rng& rng, std::size_t n, VertexId lo,
+             std::uint64_t span)
+{
+    std::vector<StreamEdge> edges;
+    for (std::size_t i = 0; i < n; ++i) {
+        edges.push_back({static_cast<VertexId>(lo + rng.below(span)),
+                         static_cast<VertexId>(lo + rng.below(span)), 1.0f,
+                         rng.chance(0.2)});
+    }
+    return stream::EdgeBatch(bid, std::move(edges));
+}
+
+/** Hand `batches` off as one epoch and check every list of the work. */
+void
+expect_hand_off_matches_oracle(const std::vector<stream::EdgeBatch>& batches)
+{
+    stream::PendingAccumulator acc;
+    std::vector<StreamEdge> inserted;
+    std::vector<StreamEdge> deleted;
+    for (const auto& b : batches) {
+        acc.note_batch(b);
+        for (const StreamEdge& e : b.edges()) {
+            (e.is_delete ? deleted : inserted).push_back(e);
+        }
+    }
+    const auto w = acc.hand_off(9);
+    EXPECT_EQ(w.affected, sort_unique_oracle(batches));
+    EXPECT_EQ(w.batches, batches.size());
+    EXPECT_EQ(w.epoch, 9u);
+    ASSERT_EQ(w.inserted.size(), inserted.size());
+    ASSERT_EQ(w.deleted.size(), deleted.size());
+    for (std::size_t i = 0; i < inserted.size(); ++i) {
+        EXPECT_EQ(w.inserted[i].src, inserted[i].src);
+        EXPECT_EQ(w.inserted[i].dst, inserted[i].dst);
+    }
+    for (std::size_t i = 0; i < deleted.size(); ++i) {
+        EXPECT_EQ(w.deleted[i].src, deleted[i].src);
+        EXPECT_EQ(w.deleted[i].dst, deleted[i].dst);
+    }
+    EXPECT_TRUE(acc.empty());
+    EXPECT_TRUE(acc.hand_off(10).affected.empty());
+}
+
+TEST(PendingAccumulator, AffectedMatchesSortUniqueOnRandomBatches)
+{
+    Rng rng(0xaffec7);
+    // Sizes straddle the radix plan's narrow/wide digit switch (4096
+    // ids); spans run from heavy duplication to nearly all distinct and
+    // from one pass up to the full 32-bit key range.
+    const std::size_t sizes[] = {1, 2, 3, 100, 2047, 2048, 3000, 20000};
+    const std::uint64_t spans[] = {1, 2, 300, 70000, 1ull << 20,
+                                   1ull << 32};
+    for (std::size_t n : sizes) {
+        for (std::uint64_t span : spans) {
+            expect_hand_off_matches_oracle(
+                {random_batch(1, rng, n, 0, span)});
+        }
+    }
+}
+
+TEST(PendingAccumulator, AffectedHandlesIdsNearTheTopOfTheIdSpace)
+{
+    Rng rng(0x7095);
+    const VertexId top = 0xFFFFFFFEu;
+    expect_hand_off_matches_oracle({stream::EdgeBatch(
+        1, {{top, top - 1, 1.0f, false}, {0, top, 1.0f, false}})});
+    for (std::uint64_t span : {2ull, 64ull, 5000ull}) {
+        for (std::size_t n : {5ul, 3000ul, 9000ul}) {
+            expect_hand_off_matches_oracle({random_batch(
+                1, rng, n, static_cast<VertexId>(top - span + 1), span)});
+        }
+    }
+}
+
+TEST(PendingAccumulator, AllDuplicateBatchCollapsesToItsEndpoints)
+{
+    std::vector<StreamEdge> same(5000, StreamEdge{42, 42, 1.0f, false});
+    expect_hand_off_matches_oracle({stream::EdgeBatch(1, same)});
+    std::vector<StreamEdge> pair(6000, StreamEdge{0xFFFFFFFEu, 7, 1.0f,
+                                                  true});
+    expect_hand_off_matches_oracle({stream::EdgeBatch(1, pair)});
+}
+
+TEST(PendingAccumulator, EmptyHandOffsStayEmpty)
+{
+    expect_hand_off_matches_oracle({});
+    expect_hand_off_matches_oracle({stream::EdgeBatch(1, {})});
+    expect_hand_off_matches_oracle(
+        {stream::EdgeBatch(1, {}), stream::EdgeBatch(2, {})});
+}
+
+TEST(PendingAccumulator, OcaAggregatedEpochsDedupeAcrossBothBatches)
+{
+    // Under OCA one compute round aggregates two batches: ids repeated
+    // across the two must still appear once, in order, and a following
+    // epoch starts from nothing.
+    Rng rng(0x0ca2);
+    stream::PendingAccumulator acc;
+    for (int epoch = 1; epoch <= 6; ++epoch) {
+        const std::size_t n = 500 + rng.below(6000);
+        const std::uint64_t span = 1 + rng.below(1u << 18);
+        std::vector<stream::EdgeBatch> batches{
+            random_batch(2 * epoch - 1, rng, n, 0, span),
+            random_batch(2 * epoch, rng, n / 2, 0, span)};
+        acc.note_batch(batches[0]);
+        acc.note_batch(batches[1]);
+        EXPECT_EQ(acc.pending_batches(), 2u);
+        const auto w = acc.hand_off(epoch);
+        EXPECT_EQ(w.batches, 2u);
+        EXPECT_EQ(w.affected, sort_unique_oracle(batches)) << epoch;
+        EXPECT_EQ(w.inserted.size() + w.deleted.size(), n + n / 2);
+        EXPECT_TRUE(acc.empty());
+    }
+    expect_hand_off_matches_oracle(
+        {random_batch(1, rng, 4000, 0, 1u << 20),
+         random_batch(2, rng, 4000, 0, 1u << 20)});
 }
 
 // ------------------------------------------------- depth-1 equivalence

@@ -12,6 +12,7 @@
  * exactly this file via `ctest -R Renumber`.
  */
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -316,6 +317,296 @@ TEST(RenumberMonitor, RefireHysteresisHoldsUntilPlacementDecaysFurther)
         m.end_window(identity);
     }
     EXPECT_TRUE(m.should_renumber());
+}
+
+// ------------------------------------------- monitor vs sort oracle
+
+/**
+ * The comparison-sort monitor the counting-pass selection replaced, kept
+ * verbatim as the oracle: sort every touched vertex by (count desc, id
+ * asc), take the smallest prefix covering hot_coverage of the accesses,
+ * gate on skew, then score the prefix's line density.  Window close,
+ * EWMA and trigger mirror LocalityMonitor so whole sequences compare.
+ */
+class SortOracleMonitor {
+  public:
+    explicit SortOracleMonitor(const RenumberParams& p) : params_(p) {}
+
+    void
+    observe(VertexId v)
+    {
+        if (v >= counts_.size()) {
+            counts_.resize(v + 1, 0);
+        }
+        if (counts_[v]++ == 0) {
+            touched_.push_back(v);
+        }
+        ++accesses_;
+    }
+
+    double
+    end_window(const VertexIdMap& map)
+    {
+        last_score_ = window_score(map);
+        if (capture_post_score_) {
+            post_renumber_score_ = last_score_;
+            capture_post_score_ = false;
+        }
+        for (VertexId v : touched_) {
+            counts_[v] = 0;
+        }
+        touched_.clear();
+        accesses_ = 0;
+        ewma_ = (1.0 - params_.ewma_alpha) * ewma_ +
+                params_.ewma_alpha * last_score_;
+        ++windows_;
+        if (windows_since_renumber_ != ~0ull) {
+            ++windows_since_renumber_;
+        }
+        return ewma_;
+    }
+
+    bool
+    should_renumber() const
+    {
+        return windows_ >= params_.warmup_windows &&
+               windows_since_renumber_ >= params_.cooldown_windows &&
+               ewma_ < params_.threshold &&
+               ewma_ < post_renumber_score_ * params_.refire_factor;
+    }
+
+    void
+    note_renumbered()
+    {
+        windows_since_renumber_ = 0;
+        ewma_ = 1.0;
+        capture_post_score_ = true;
+    }
+
+    double ewma() const { return ewma_; }
+    double last_window_score() const { return last_score_; }
+
+  private:
+    double
+    window_score(const VertexIdMap& map)
+    {
+        if (touched_.empty() || accesses_ == 0) {
+            return 1.0;
+        }
+        std::sort(touched_.begin(), touched_.end(),
+                  [this](VertexId a, VertexId b) {
+                      return counts_[a] != counts_[b]
+                                 ? counts_[a] > counts_[b]
+                                 : a < b;
+                  });
+        const double want =
+            params_.hot_coverage * static_cast<double>(accesses_);
+        std::uint64_t covered = 0;
+        std::size_t hot = 0;
+        while (hot < touched_.size() &&
+               static_cast<double>(covered) < want) {
+            covered += counts_[touched_[hot]];
+            ++hot;
+        }
+        if (hot == 0) {
+            return 1.0;
+        }
+        const double skew = params_.hot_coverage *
+                            static_cast<double>(touched_.size()) /
+                            static_cast<double>(hot);
+        if (skew < params_.min_skew) {
+            return 1.0;
+        }
+        std::vector<VertexId> lines;
+        for (std::size_t i = 0; i < hot; ++i) {
+            lines.push_back(map.to_physical(touched_[i]) /
+                            params_.rows_per_line);
+        }
+        std::sort(lines.begin(), lines.end());
+        const auto actual = static_cast<std::size_t>(
+            std::unique(lines.begin(), lines.end()) - lines.begin());
+        const std::size_t min_lines =
+            (hot + params_.rows_per_line - 1) / params_.rows_per_line;
+        return static_cast<double>(min_lines) / static_cast<double>(actual);
+    }
+
+    RenumberParams params_;
+    std::vector<std::uint32_t> counts_;
+    std::vector<VertexId> touched_;
+    std::uint64_t accesses_ = 0;
+    double ewma_ = 1.0;
+    double last_score_ = 1.0;
+    double post_renumber_score_ = 1.0;
+    bool capture_post_score_ = false;
+    std::uint64_t windows_ = 0;
+    std::uint64_t windows_since_renumber_ = ~0ull;
+};
+
+/** Window shapes the oracle comparison draws from. */
+enum class WindowShape {
+    kTiedCutLevel, // a few count levels, hundreds of vertices per level
+    kAllOnes,      // every touched vertex seen exactly once
+    kSingleVertex, // one vertex, seen one or more times
+    kSkewed,       // a small scattered hot set over a cold background
+};
+
+/** Observe one window of `shape` into both monitors (same order). */
+void
+feed_both(LocalityMonitor& m, SortOracleMonitor& o, Rng& rng,
+          WindowShape shape, VertexId id_space)
+{
+    auto touch = [&](VertexId v, std::uint32_t times) {
+        for (std::uint32_t k = 0; k < times; ++k) {
+            m.observe(v);
+            o.observe(v);
+        }
+    };
+    auto any_id = [&] { return static_cast<VertexId>(rng.below(id_space)); };
+    switch (shape) {
+      case WindowShape::kTiedCutLevel: {
+        const std::uint32_t levels = 1 + static_cast<std::uint32_t>(
+                                             rng.below(4));
+        for (std::uint32_t c = levels; c >= 1; --c) {
+            const auto n = 50 + rng.below(400);
+            for (std::uint64_t i = 0; i < n; ++i) {
+                touch(any_id(), c);
+            }
+        }
+        break;
+      }
+      case WindowShape::kAllOnes: {
+        // Distinct ids (a wrapped run from a random start), once each.
+        const VertexId start = any_id();
+        const auto n = 1 + rng.below(std::min<std::uint64_t>(id_space, 2000));
+        for (std::uint64_t i = 0; i < n; ++i) {
+            touch(static_cast<VertexId>((start + i) % id_space), 1);
+        }
+        break;
+      }
+      case WindowShape::kSingleVertex:
+        touch(any_id(), 1 + static_cast<std::uint32_t>(rng.below(8)));
+        break;
+      case WindowShape::kSkewed: {
+        const auto hot = 1 + rng.below(64);
+        for (std::uint64_t i = 0; i < hot; ++i) {
+            touch(any_id(), 8 + static_cast<std::uint32_t>(rng.below(56)));
+        }
+        const auto cold = rng.below(1500);
+        for (std::uint64_t i = 0; i < cold; ++i) {
+            touch(any_id(), 1 + static_cast<std::uint32_t>(rng.below(2)));
+        }
+        break;
+      }
+    }
+}
+
+/** Bitwise double equality (EXPECT_EQ on doubles would accept -0 == 0). */
+bool
+same_bits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/**
+ * Drive the counting-pass monitor and the sort oracle through the same
+ * randomized windows under a random placement and random tuning; every
+ * window's score, the EWMA and the trigger must match bit for bit, and
+ * renumbers are noted to both whenever the trigger fires.
+ */
+void
+expect_matches_oracle(std::uint64_t seed, const std::vector<WindowShape>& mix)
+{
+    Rng rng(seed);
+    RenumberParams p;
+    p.hot_coverage = rng.uniform(0.05, 1.0);
+    p.min_skew = rng.uniform(1.0, 4.0);
+    p.rows_per_line = 1 + static_cast<std::uint32_t>(rng.below(16));
+    p.threshold = rng.uniform(0.3, 0.9);
+    p.warmup_windows = static_cast<std::uint32_t>(rng.below(4));
+    p.cooldown_windows = static_cast<std::uint32_t>(rng.below(4));
+    const VertexId id_space = 256 + static_cast<VertexId>(rng.below(8192));
+    std::vector<VertexId> l2p(id_space);
+    std::iota(l2p.begin(), l2p.end(), VertexId{0});
+    std::shuffle(l2p.begin(), l2p.end(), rng);
+    VertexIdMap map;
+    map.rebind(l2p);
+
+    LocalityMonitor m(p);
+    SortOracleMonitor o(p);
+    for (int w = 0; w < 40; ++w) {
+        const WindowShape shape = mix[rng.below(mix.size())];
+        feed_both(m, o, rng, shape, id_space);
+        const double ewma = m.end_window(map);
+        const double oracle_ewma = o.end_window(map);
+        ASSERT_TRUE(same_bits(m.last_window_score(), o.last_window_score()))
+            << "seed " << seed << " window " << w << ": "
+            << m.last_window_score() << " vs " << o.last_window_score();
+        ASSERT_TRUE(same_bits(ewma, oracle_ewma))
+            << "seed " << seed << " window " << w;
+        ASSERT_EQ(m.should_renumber(), o.should_renumber())
+            << "seed " << seed << " window " << w;
+        if (m.should_renumber()) {
+            m.note_renumbered();
+            o.note_renumbered();
+        }
+    }
+}
+
+TEST(RenumberMonitorOracle, ManyTiesAtTheCutLevel)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        expect_matches_oracle(seed, {WindowShape::kTiedCutLevel});
+    }
+}
+
+TEST(RenumberMonitorOracle, AllCountsOne)
+{
+    for (std::uint64_t seed = 100; seed < 120; ++seed) {
+        expect_matches_oracle(seed, {WindowShape::kAllOnes});
+    }
+}
+
+TEST(RenumberMonitorOracle, SingleVertexWindows)
+{
+    for (std::uint64_t seed = 200; seed < 220; ++seed) {
+        expect_matches_oracle(seed, {WindowShape::kSingleVertex});
+    }
+}
+
+TEST(RenumberMonitorOracle, SkewedWindowsPassTheGateAndMatch)
+{
+    // Tuned so the hot set clears the gate: the comparison must cover
+    // the per-id placement score, not only the gated 1.0.
+    RenumberParams p;
+    LocalityMonitor m(p);
+    SortOracleMonitor o(p);
+    Rng rng(0x5eed);
+    const VertexIdMap identity;
+    int gated_through = 0;
+    for (int w = 0; w < 50; ++w) {
+        feed_both(m, o, rng, WindowShape::kSkewed, 4096);
+        m.end_window(identity);
+        o.end_window(identity);
+        ASSERT_TRUE(same_bits(m.last_window_score(), o.last_window_score()))
+            << "window " << w;
+        ASSERT_TRUE(same_bits(m.ewma(), o.ewma())) << "window " << w;
+        ASSERT_EQ(m.should_renumber(), o.should_renumber());
+        gated_through += m.last_window_score() < 1.0 ? 1 : 0;
+    }
+    EXPECT_GT(gated_through, 25);
+    for (std::uint64_t seed = 300; seed < 340; ++seed) {
+        expect_matches_oracle(seed, {WindowShape::kSkewed});
+    }
+}
+
+TEST(RenumberMonitorOracle, MixedWindowSequences)
+{
+    for (std::uint64_t seed = 400; seed < 440; ++seed) {
+        expect_matches_oracle(seed, {WindowShape::kTiedCutLevel,
+                                     WindowShape::kAllOnes,
+                                     WindowShape::kSingleVertex,
+                                     WindowShape::kSkewed});
+    }
 }
 
 // ----------------------------------- backend permutation invariance

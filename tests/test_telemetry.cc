@@ -7,6 +7,7 @@
  */
 #include "common/telemetry.h"
 
+#include <bit>
 #include <limits>
 #include <string>
 #include <thread>
@@ -76,24 +77,51 @@ TEST(Histogram, BucketsOnFirstBoundAtLeastValue)
 
 TEST(Histogram, ConcurrentRecords)
 {
-    const double bounds[] = {100.0};
+    // Each thread records from its own shard; the merged counts and the
+    // merged sum must be exact (integral samples sum exactly in double).
+    const double bounds[] = {1.0, 100.0};
     Histogram h(bounds);
     constexpr int kThreads = 6;
     constexpr int kRecs = 5000;
+    const double kValues[] = {1.0, 7.0, 1000.0};
     std::vector<std::thread> ts;
     for (int t = 0; t < kThreads; ++t) {
-        ts.emplace_back([&h, t] {
+        ts.emplace_back([&h, &kValues, t] {
             for (int i = 0; i < kRecs; ++i) {
-                h.record(t < kThreads / 2 ? 1.0 : 1000.0);
+                h.record(kValues[(t + i) % 3]);
             }
         });
     }
     for (auto& t : ts) {
         t.join();
     }
+    constexpr std::uint64_t kPerValue =
+        static_cast<std::uint64_t>(kThreads) * kRecs / 3;
+    EXPECT_EQ(h.bucket_count(0), kPerValue); // 1.0
+    EXPECT_EQ(h.bucket_count(1), kPerValue); // 7.0
+    EXPECT_EQ(h.bucket_count(2), kPerValue); // 1000.0 (overflow)
     EXPECT_EQ(h.total_count(),
               static_cast<std::uint64_t>(kThreads) * kRecs);
-    EXPECT_EQ(h.bucket_count(0) + h.bucket_count(1), h.total_count());
+    EXPECT_EQ(h.sum(), static_cast<double>(kPerValue) * (1.0 + 7.0 + 1000.0));
+    h.reset();
+    EXPECT_EQ(h.total_count(), 0u);
+    EXPECT_EQ(h.sum(), 0.0);
+}
+
+/** One thread's samples land in one shard, so its sum is the plain
+ *  left-to-right accumulation, bit for bit — what golden runs rely on. */
+TEST(Histogram, SingleThreadSumIsSequentialAccumulation)
+{
+    const double bounds[] = {0.25, 0.5};
+    Histogram h(bounds);
+    double expect = 0.0;
+    for (int i = 1; i <= 1000; ++i) {
+        const double v = 1.0 / static_cast<double>(i);
+        h.record(v);
+        expect += v;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(h.sum()),
+              std::bit_cast<std::uint64_t>(expect));
 }
 
 TEST(Registry, SameNameYieldsSameMetric)

@@ -11,7 +11,9 @@ four passes:
                   per instantiated graph-store backend, prunes
                   `if constexpr (requires ...)` branches against each
                   backend's real member surface, and attributes findings
-                  to the backend whose specialization reaches them.
+                  to the backend whose specialization reaches them; it
+                  also flags shared-CAS telemetry members (Gauge::add /
+                  watermark) on the hot path.
   lifetime        SnapshotView escape / invalidation / compute-stage
                   isolation (the pipeline's one-epoch-ahead invariant,
                   DESIGN.md §11).
@@ -52,7 +54,7 @@ TOOL_NAME = "igs_semantic"
 
 SEMANTIC_RULES = (
     "hot-path-alloc", "hot-path-block", "hot-path-throw",
-    "hot-path-virtual",
+    "hot-path-virtual", "hot-path-shared-cas",
     "snapshot-view-escape", "view-invalidated-use", "compute-reads-live",
     "backend-contract", "backend-capability", "contract-probe-dangling",
     "telemetry-key-naming", "telemetry-key-collision",
@@ -61,10 +63,12 @@ SEMANTIC_RULES = (
 )
 
 # Rules owned exclusively by this tool: an allow() pragma for one of
-# these that suppresses nothing here is stale.  The hot-path-* IDs are
-# shared with igs_lint/igs_analyzer, so their pragmas are audited there.
+# these that suppresses nothing here is stale.  The other hot-path-* IDs
+# are shared with igs_lint/igs_analyzer, so their pragmas are audited
+# there.
 EXCLUSIVE_RULES = frozenset(r for r in SEMANTIC_RULES
-                            if not r.startswith("hot-path-")
+                            if (not r.startswith("hot-path-")
+                                or r == "hot-path-shared-cas")
                             and not r.startswith("stale-"))
 
 RULE_DESCRIPTIONS = {
@@ -78,6 +82,9 @@ RULE_DESCRIPTIONS = {
     "hot-path-virtual":
         "Virtual dispatch on the hot path; kernels are devirtualized "
         "by construction.",
+    "hot-path-shared-cas":
+        "Gauge::add / Gauge::watermark (a CAS loop on one shared "
+        "atomic<double>) reachable from a [hot_paths] root.",
     "snapshot-view-escape":
         "SnapshotView leaves its producing scope (member store, lambda "
         "capture, or return); views are only valid until the next "
@@ -263,7 +270,9 @@ def main(argv=None):
 # fixture name -> {rule: [expected (path, line) locations]}.  A line of 0
 # matches any line (JSON goldens carry no positions).  `contains` lists
 # substrings that must appear in some finding message of the fixture;
-# `not_contains` substrings that must appear in none.
+# `not_contains` substrings that must appear in none.  The check is
+# exact: the fixture's SARIF results must be the expected locations, with
+# no extra finding and no duplicate of an expected one.
 SELF_TEST_EXPECTATIONS = {
     "leaked_view": {
         "rules": {"snapshot-view-escape": [("src/app/leak.cc", 14),
@@ -293,6 +302,10 @@ SELF_TEST_EXPECTATIONS = {
         "contains": ["[backend: FancyStore]"],
         "not_contains": ["[backend: PlainStore]"],
     },
+    "hot_shared_cas": {
+        "rules": {"hot-path-shared-cas": [("src/app/kernel.h", 8),
+                                          ("src/app/kernel.h", 14)]},
+    },
     "clean_ok": {"rules": {}},
 }
 
@@ -320,20 +333,15 @@ def run_self_test(root):
                         loc["artifactLocation"]["uri"],
                         loc["region"]["startLine"]))
             messages.append(res["message"]["text"])
-        want = [(rule, path, line)
-                for rule, locs in exp["rules"].items()
-                for path, line in locs]
-        for rule, path, line in want:
-            hit = any(g[0] == rule and g[1] == path and
-                      (line == 0 or g[2] == line) for g in got)
-            if not hit:
-                failures.append(f"{name}: expected [{rule}] at "
-                                f"{path}:{line}, got {sorted(got)}")
-        expected_rules = set(exp["rules"])
-        for g in got:
-            if g[0] not in expected_rules:
-                failures.append(f"{name}: unexpected finding "
-                                f"[{g[0]}] at {g[1]}:{g[2]}")
+        want = sorted((rule, path, line)
+                      for rule, locs in exp["rules"].items()
+                      for path, line in locs)
+        wildcard = {(rule, path) for rule, path, line in want if line == 0}
+        got = sorted((rule, path, 0 if (rule, path) in wildcard else line)
+                     for rule, path, line in got)
+        if got != want:
+            failures.append(f"{name}: SARIF results {got} != expected "
+                            f"{want}")
         for needle in exp.get("contains", ()):
             if not any(needle in m for m in messages):
                 failures.append(f"{name}: no finding message contains "

@@ -11,8 +11,11 @@ finding names the backend whose instantiation reaches it.
 
 Rules (shared IDs with igs_lint/igs_analyzer so existing audited pragmas
 suppress all three tools): hot-path-alloc, hot-path-block, hot-path-throw,
-plus hot-path-virtual (virtual dispatch on the hot path — this repo keeps
-its kernels devirtualized by construction, so any hit is a regression).
+plus two of its own: hot-path-virtual (virtual dispatch on the hot path —
+this repo keeps its kernels devirtualized by construction, so any hit is
+a regression) and hot-path-shared-cas (a call to telemetry::Gauge::add or
+Gauge::watermark, whose CAS loop on one shared atomic<double> bounces a
+cache line between every worker that reaches it).
 """
 
 import fnmatch
@@ -33,6 +36,12 @@ BLOCK_IDS = frozenset({
 })
 BLOCK_CALLS = frozenset({"wait", "wait_for", "wait_until", "sleep_for",
                          "sleep_until"})
+# member name -> classes whose member of that name is a CAS loop on one
+# shared atomic<double>.  Per-edge telemetry goes through the sharded
+# Counter/Histogram instead; a per-batch site carries a justified
+# allow(hot-path-shared-cas) pragma.
+SHARED_CAS_CALLS = {"add": frozenset({"Gauge"}),
+                    "watermark": frozenset({"Gauge"})}
 
 
 def run(model, config, findings):
@@ -219,6 +228,11 @@ def _scan_body(model, fn, binding, backend, dead, findings):
             emit(c.line, "hot-path-alloc", f"container growth '{c.name}()'")
         elif c.name in BLOCK_CALLS and c.receiver is not None:
             emit(c.line, "hot-path-block", f"blocking '{c.name}()'")
+        elif c.name in SHARED_CAS_CALLS and _receiver_is(
+                model, fn, binding, c.receiver, SHARED_CAS_CALLS[c.name]):
+            emit(c.line, "hot-path-shared-cas",
+                 f"shared-CAS member '{c.name}()' (one atomic every "
+                 f"worker contends on; shard it or flush per batch)")
         else:
             target = _resolve(model, fn, binding, c)
             for tf, _tb in target:
@@ -226,6 +240,23 @@ def _scan_body(model, fn, binding, backend, dead, findings):
                     emit(c.line, "hot-path-virtual",
                          f"virtual dispatch to '{tf.qual_name}()'")
                     break
+
+
+def _receiver_is(model, fn, binding, receiver, classes):
+    """True when a call receiver's type is one of `classes`.  Receivers
+    the scope does not declare (`t.gauge.add()` on a telemetry struct
+    fetched through `auto&`) fall back to the fields of that name across
+    the model: every class declaring such a field must type it as one of
+    `classes`, so a name shared with an unrelated type never matches."""
+    if receiver is None or receiver == "<expr>":
+        return False
+    cname = _receiver_class_name(model, fn, binding, receiver)
+    if cname is not None:
+        return cname in classes
+    types = {ci.fields[receiver]
+             for cands in model.classes.values() for ci in cands
+             if receiver in ci.fields}
+    return bool(types) and types <= classes
 
 
 def _resolve(model, fn, binding, call):
