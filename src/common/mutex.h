@@ -36,7 +36,6 @@ class IGS_CAPABILITY("mutex") Mutex {
     bool try_lock() IGS_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
     /** The wrapped mutex, for std::condition_variable plumbing only. */
-    // igs-lint: allow(hot-path-block) -- accessor; waits audited at use
     std::mutex& native() { return m_; }
 
   private:
@@ -58,7 +57,6 @@ class IGS_SCOPED_CAPABILITY MutexLock {
     MutexLock& operator=(const MutexLock&) = delete;
 
     /** The live std::unique_lock, for condition-variable waits. */
-    // igs-lint: allow(hot-path-block) -- accessor; waits audited at use
     std::unique_lock<std::mutex>& native() { return lk_; }
 
   private:

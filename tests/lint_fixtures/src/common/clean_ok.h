@@ -1,7 +1,7 @@
 /**
  * Lint fixture: a fully clean header — the self-test asserts no rule fires
- * on it (guards canonical, atomics explicit, no hot-path tag, std::mutex
- * allowed because the fixture lives under src/common/).
+ * on it (guards canonical, atomics explicit, std::mutex allowed because
+ * the fixture lives under src/common/).
  * Never compiled; scanned only by `igs_lint.py --self-test`.
  */
 #ifndef IGS_COMMON_CLEAN_OK_H

@@ -1,5 +1,5 @@
 // Fixture: a bottom-layer module reaching up into core/ must be
-// reported as layer-inversion (tools/igs_analyzer.py --self-test).
+// reported as layer-inversion (tools/igs_semantic.py --self-test).
 #ifndef FIXTURE_COMMON_BAD_LAYER_H
 #define FIXTURE_COMMON_BAD_LAYER_H
 

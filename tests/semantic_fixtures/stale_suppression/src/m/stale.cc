@@ -1,8 +1,8 @@
-// IGS_HOT_PATH
 // Fixture: the allow(lock-order-cycle) pragma below suppresses nothing
 // and must be reported as stale-suppression.  The allow(hot-path-alloc)
-// pragma sits on a live allocation site in an IGS_HOT_PATH file, which
-// igs_lint still needs, so it must NOT be reported.
+// pragma silences a live allocation on the hot root grow(), so it must
+// NOT be reported.  Both rules belong to igs_semantic, which audits
+// every pragma of its own rules.
 
 int counter_value = 0; // igs-lint: allow(lock-order-cycle)
 

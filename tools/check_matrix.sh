@@ -25,17 +25,16 @@
 #         annotations compile as no-ops under gcc, so there is nothing
 #         to analyze.
 #   lint  tools/igs_lint.py repo rules + self-test (via ctest -R lint)
-#   analyze  tools/igs_analyzer.py whole-program rules (module-layer DAG,
-#         lock-order cycles, hot-path escapes) + fixture self-test
 #   semantic  tools/igs_semantic.py semantic passes (template-aware
 #         hot-path walk, snapshot lifetimes, backend contracts,
-#         telemetry-key registry) + fixture self-test
+#         telemetry-key registry, module-layer DAG, include and
+#         lock-order cycles) + fixture self-test
 #   dataflow  tools/igs_dataflow.py interprocedural passes (epoch role
 #         proofs, atomic publication pairing, hot-path value ranges)
 #         + fixture self-test — the static counterpart of the tsan legs
 #
 # Usage:  tools/check_matrix.sh [leg ...]
-#         (default: lint analyze semantic dataflow asan asan-hybrid tsan
+#         (default: lint semantic dataflow asan asan-hybrid tsan
 #          tsan-pipeline tsan-hybrid tsan-incremental tsan-renumber tsa)
 #
 # Each leg builds in its own tree (build-check-<leg>) with
@@ -48,7 +47,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 LEGS=("$@")
 if [ ${#LEGS[@]} -eq 0 ]; then
-    LEGS=(lint analyze semantic dataflow asan asan-hybrid tsan
+    LEGS=(lint semantic dataflow asan asan-hybrid tsan
           tsan-pipeline tsan-hybrid tsan-incremental tsan-renumber tsa)
 fi
 
@@ -106,17 +105,6 @@ for leg in "${LEGS[@]}"; do
             PASSED+=(lint)
         else
             FAILED+=(lint)
-        fi
-        ;;
-      analyze)
-        echo "=== [analyze] igs_analyzer + self-test ==="
-        # No --compile-commands: the analyzer picks up build/ when it is
-        # configured and falls back to a directory walk otherwise.
-        if python3 "$ROOT/tools/igs_analyzer.py" --root "$ROOT" &&
-           python3 "$ROOT/tools/igs_analyzer.py" --root "$ROOT" --self-test; then
-            PASSED+=(analyze)
-        else
-            FAILED+=(analyze)
         fi
         ;;
       semantic)
@@ -213,7 +201,7 @@ for leg in "${LEGS[@]}"; do
         fi
         ;;
       *)
-        echo "unknown leg: $leg (known: lint analyze semantic dataflow" \
+        echo "unknown leg: $leg (known: lint semantic dataflow" \
              "asan asan-hybrid tsan tsan-pipeline tsan-hybrid" \
              "tsan-incremental tsan-renumber tsa)" >&2
         FAILED+=("$leg (unknown)")

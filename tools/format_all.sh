@@ -39,7 +39,6 @@ cd "$root"
 files=$(find src bench tests examples \
             \( -name '*.h' -o -name '*.cc' -o -name '*.cpp' \) \
             -not -path '*lint_fixtures*' \
-            -not -path '*analyzer_fixtures*' \
             -not -path '*semantic_fixtures*' 2>/dev/null)
 n=0
 for f in $files; do

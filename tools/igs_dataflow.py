@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """igs_dataflow — interprocedural dataflow tier for igstream.
 
-The fourth analysis tier (after igs_lint's per-line rules, igs_analyzer's
-include/call-graph walk, and igs_semantic's declaration-level passes):
-abstract interpretation over the whole-program Model the semantic front
+The third analysis tier (after igs_lint's per-line rules and
+igs_semantic's declaration-level and structural passes): abstract
+interpretation over the whole-program Model the semantic front
 end parses (tools/semantic/, shared parallel parse + on-disk cache).
 Three pass families (DESIGN.md §15):
 
@@ -25,7 +25,7 @@ Three pass families (DESIGN.md §15):
 Findings honour igs_lint's `igs-lint: allow(<rule>)` pragmas, the shared
 audited baseline (tools/analysis_baseline.json, section igs_dataflow)
 with stale-entry detection, and are emitted as SARIF 2.1.0 through the
-emitter shared with igs_analyzer/igs_semantic.  `--diff-base <ref>`
+emitter shared with igs_semantic.  `--diff-base <ref>`
 scopes the exit code to files changed since the merge base (CI);
 `--matrix` writes the inferred role-assignment matrix artifact.
 
@@ -44,7 +44,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from dataflow import intervals, publication, roles  # noqa: E402
 from semantic import baseline, parse_cache, sarif  # noqa: E402
-from semantic.passes import ALLOW_PRAGMA  # noqa: E402
+from semantic.passes import check_stale_pragmas  # noqa: E402
 
 TOOL_NAME = "igs_dataflow"
 
@@ -56,11 +56,6 @@ DATAFLOW_RULES = (
     "narrowing-overflow", "unproven-narrowing",
     "stale-baseline", "stale-suppression",
 )
-
-# Rules owned exclusively by this tool: an allow() pragma for one of
-# these that suppresses nothing here is stale.
-EXCLUSIVE_RULES = frozenset(r for r in DATAFLOW_RULES
-                            if not r.startswith("stale-"))
 
 RULE_DESCRIPTIONS = {
     "compute-role-mutates-live":
@@ -94,25 +89,6 @@ RULE_DESCRIPTIONS = {
 }
 
 
-def check_stale_pragmas(model, findings):
-    """allow() pragmas for dataflow-exclusive rules must suppress a
-    finding; a pragma that outlives its finding is a hole in the gate."""
-    suppressed = {(f.path, ln, f.rule)
-                  for f in findings if f.suppressed
-                  for ln in (f.line, f.line - 1)}
-    for rel, fm in sorted(model.files.items()):
-        for lineno, text in sorted(fm.comments.items()):
-            m = ALLOW_PRAGMA.search(text)
-            if not m or m.group(1) not in EXCLUSIVE_RULES:
-                continue
-            if (rel, lineno, m.group(1)) not in suppressed:
-                from semantic.model import Finding
-                findings.append(Finding(
-                    rel, lineno, "stale-suppression",
-                    f"allow({m.group(1)}) pragma suppresses no "
-                    f"igs_dataflow finding; remove it"))
-
-
 def run_analysis(root, config, frontend="auto", compile_commands=None,
                  model=None):
     if model is None:
@@ -126,7 +102,7 @@ def run_analysis(root, config, frontend="auto", compile_commands=None,
         t0 = time.monotonic()
         pass_mod.run(model, config, findings)
         timings[name] = round(time.monotonic() - t0, 3)
-    check_stale_pragmas(model, findings)
+    check_stale_pragmas(model.files, findings, DATAFLOW_RULES, TOOL_NAME)
     model.pass_timings = timings
     return model, findings
 

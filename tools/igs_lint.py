@@ -1,18 +1,11 @@
 #!/usr/bin/env python3
 """igs_lint — repo-specific static checks for igstream.
 
-Wired as the `lint` ctest/CMake target.  Enforces invariants that neither
-the compiler nor clang's thread-safety analysis can express:
+Wired as the `lint` ctest/CMake target.  Enforces per-line invariants
+that neither the compiler nor clang's thread-safety analysis can express
+(whole-program rules, hot-path allocation among them, live in
+tools/igs_semantic.py):
 
-  hot-path-alloc      Files tagged with a `// IGS_HOT_PATH` line comment
-                      (the radix-reorder pipeline and the USC FlatWeightTable
-                      path) must not allocate or grow containers:
-                      std::unordered_map/set, new, make_unique/make_shared,
-                      malloc-family calls, and growth methods (push_back,
-                      emplace_back, resize, reserve, insert, emplace, append)
-                      are flagged.  Audited grow-only arena sites carry an
-                      `igs-lint: allow(hot-path-alloc)` comment on the same
-                      or the preceding line.
   bare-mutex          Outside src/common/, blocking synchronization must use
                       igs::Mutex or igs::Spinlock (both visible to the
                       thread-safety analysis), never a bare std::*mutex.
@@ -43,22 +36,10 @@ import sys
 
 SCAN_DIRS = ("src", "tests", "bench", "examples", "tools")
 SOURCE_EXTS = (".h", ".cc")
-EXCLUDED_PARTS = ("lint_fixtures", "analyzer_fixtures",
-                  "semantic_fixtures", "dataflow_fixtures", "build")
+EXCLUDED_PARTS = ("lint_fixtures", "semantic_fixtures", "dataflow_fixtures",
+                  "build")
 
-HOT_PATH_TAG = re.compile(r"^\s*//\s*IGS_HOT_PATH\s*$")
 ALLOW_PRAGMA = re.compile(r"igs-lint:\s*allow\(([a-z-]+)")
-
-HOT_ALLOC_PATTERNS = [
-    (re.compile(r"std::unordered_(map|set)\b"), "std::unordered_{map,set}"),
-    (re.compile(r"\bnew\b"), "new expression"),
-    (re.compile(r"std::make_(unique|shared)\b"), "std::make_unique/shared"),
-    (re.compile(r"\b(malloc|calloc|realloc|strdup)\s*\("), "malloc-family call"),
-    (re.compile(
-        r"\.\s*(push_back|emplace_back|resize|reserve|insert|emplace|append)"
-        r"\s*\("),
-     "container growth"),
-]
 
 BARE_MUTEX = re.compile(r"std::(recursive_|timed_|shared_)?mutex\b")
 
@@ -192,20 +173,6 @@ def extract_call_args(code, start):
     return None
 
 
-def check_hot_path_alloc(rel, raw_lines, code_lines, comments, out):
-    if not any(HOT_PATH_TAG.match(l) for l in raw_lines):
-        return
-    for idx, codeline in enumerate(code_lines, start=1):
-        for pattern, label in HOT_ALLOC_PATTERNS:
-            if pattern.search(codeline):
-                if not is_allowed("hot-path-alloc", idx, comments):
-                    out.append(Violation(
-                        rel, idx, "hot-path-alloc",
-                        f"{label} in IGS_HOT_PATH file (add an audited "
-                        f"'igs-lint: allow(hot-path-alloc)' if grow-only)"))
-                break  # one violation per line is enough
-
-
 def check_bare_mutex(rel, code_lines, comments, out):
     if rel.replace(os.sep, "/").startswith("src/common/"):
         return
@@ -328,7 +295,6 @@ def lint_file(root, rel):
     raw_lines = text.splitlines()
     code_lines = code.splitlines()
     out = []
-    check_hot_path_alloc(rel, raw_lines, code_lines, comments, out)
     check_bare_mutex(rel, code_lines, comments, out)
     check_side_effects(rel, code, out)
     check_atomic_orders(rel, code, comments, out)
@@ -363,7 +329,6 @@ def run_lint(root):
 
 # Fixture file -> rules it must trip (see tests/lint_fixtures/).
 SELF_TEST_EXPECTATIONS = {
-    "src/stream/bad_hot_alloc.cc": {"hot-path-alloc"},
     "src/core/bad_mutex.cc": {"bare-mutex"},
     "src/graph/bad_check.cc": {"check-side-effect"},
     "src/sim/bad_atomic.cc": {"atomic-memory-order"},

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """igs_semantic — declaration-level semantic analyzer for igstream.
 
-Where igs_lint polices single lines and igs_analyzer walks the
-quoted-include/call-graph structure, this tool parses real declarations
-(two frontends: libclang via compile_commands.json when importable,
-the ast_lite tokenizer/parser otherwise — see tools/semantic/) and runs
-four passes:
+Where igs_lint polices single lines, this tool parses real declarations
+(two frontends: libclang via compile_commands.json when importable, the
+ast_lite tokenizer/parser otherwise — see tools/semantic/) and runs five
+passes:
 
   hot_path        template-aware hot-path escape analysis: the walk forks
                   per instantiated graph-store backend, prunes
@@ -23,14 +22,21 @@ four passes:
                   failure instead of a silent slow-path fallback.
   telemetry_keys  telemetry key registry: uniqueness, naming scheme,
                   golden-JSON cross-check.
+  structure       module-layer DAG ([layers] in layers.toml), include
+                  cycles and lock-order cycles, over src, bench, tests
+                  and examples rather than just `[semantic] scan`.
 
-Findings honour igs_lint's `igs-lint: allow(<rule>)` pragmas, the shared
-audited baseline (tools/analysis_baseline.json, section igs_semantic)
-with stale-entry detection, and are emitted as SARIF 2.1.0 through the
-emitter shared with igs_analyzer.py.  `--diff-base <ref>` keeps the exit
-code scoped to files changed since the merge base (CI) while still
-printing everything.  Parsing runs through the shared parallel/cached
-front end (tools/semantic/parse_cache.py) also used by igs_dataflow.
+Each rule has this one implementation.  Findings honour the
+`igs-lint: allow(<rule>)` pragmas, and an allow() for one of this tool's
+rules that suppresses nothing is itself a stale-suppression finding.
+The shared audited baseline (tools/analysis_baseline.json, section
+igs_semantic) has stale-entry detection; output is SARIF 2.1.0 through
+the emitter shared with igs_dataflow.  `--diff-base <ref>` keeps the
+exit code scoped to files changed since the merge base (CI) while still
+printing everything; stale-* and the cycle rules gate regardless, since
+a cycle can close in a file the change did not touch.  Parsing runs
+through the shared parallel/cached front end
+(tools/semantic/parse_cache.py) also used by igs_dataflow.
 
 Exit codes: 0 clean / only baselined, 1 findings, 2 usage error.
 """
@@ -46,9 +52,8 @@ import tomllib
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from semantic import baseline, parse_cache, sarif  # noqa: E402
-from semantic.parse_cache import discover_sources  # noqa: E402,F401
-from semantic.passes import ALLOW_PRAGMA, contracts, hot_path, lifetime, \
-    telemetry_keys  # noqa: E402
+from semantic.passes import check_stale_pragmas, contracts, hot_path, \
+    lifetime, structure, telemetry_keys  # noqa: E402
 
 TOOL_NAME = "igs_semantic"
 
@@ -59,17 +64,13 @@ SEMANTIC_RULES = (
     "backend-contract", "backend-capability", "contract-probe-dangling",
     "telemetry-key-naming", "telemetry-key-collision",
     "telemetry-key-stale-golden",
+    "layer-inversion", "include-cycle", "lock-order-cycle",
     "stale-baseline", "stale-suppression",
 )
 
-# Rules owned exclusively by this tool: an allow() pragma for one of
-# these that suppresses nothing here is stale.  The other hot-path-* IDs
-# are shared with igs_lint/igs_analyzer, so their pragmas are audited
-# there.
-EXCLUSIVE_RULES = frozenset(r for r in SEMANTIC_RULES
-                            if (not r.startswith("hot-path-")
-                                or r == "hot-path-shared-cas")
-                            and not r.startswith("stale-"))
+# Rules gated over the whole tree even under --diff-base.
+TREE_GATED_RULES = frozenset({"include-cycle", "lock-order-cycle",
+                              "stale-baseline", "stale-suppression"})
 
 RULE_DESCRIPTIONS = {
     "hot-path-alloc":
@@ -110,10 +111,18 @@ RULE_DESCRIPTIONS = {
         "Telemetry key registered at two different sites.",
     "telemetry-key-stale-golden":
         "Golden JSON references a telemetry key no source registers.",
+    "layer-inversion":
+        "Quoted include crosses the declared module layering "
+        "(tools/layers.toml) in the wrong direction.",
+    "include-cycle":
+        "The quoted-include graph contains a cycle.",
+    "lock-order-cycle":
+        "Two code paths acquire the same locks in opposite nesting "
+        "orders; concurrent execution can deadlock.",
     "stale-baseline":
         "Audited baseline entry matches no current finding.",
     "stale-suppression":
-        "allow() pragma for a semantic-only rule suppresses nothing.",
+        "allow() pragma for an igs_semantic rule suppresses nothing.",
 }
 
 
@@ -121,25 +130,6 @@ def build_model(root, config, frontend="auto", compile_commands=None):
     """Delegates to the shared parallel/cached parsing front end."""
     return parse_cache.build_model(root, config, frontend,
                                    compile_commands)
-
-
-def check_stale_pragmas(model, findings):
-    """allow() pragmas for semantic-exclusive rules must suppress a
-    finding; a pragma that outlives its finding is a hole in the gate."""
-    suppressed = {(f.path, ln, f.rule)
-                  for f in findings if f.suppressed
-                  for ln in (f.line, f.line - 1)}
-    for rel, fm in sorted(model.files.items()):
-        for lineno, text in sorted(fm.comments.items()):
-            m = ALLOW_PRAGMA.search(text)
-            if not m or m.group(1) not in EXCLUSIVE_RULES:
-                continue
-            if (rel, lineno, m.group(1)) not in suppressed:
-                from semantic.model import Finding
-                findings.append(Finding(
-                    rel, lineno, "stale-suppression",
-                    f"allow({m.group(1)}) pragma suppresses no "
-                    f"igs_semantic finding; remove it"))
 
 
 def run_analysis(root, config, frontend="auto", compile_commands=None):
@@ -153,7 +143,14 @@ def run_analysis(root, config, frontend="auto", compile_commands=None):
         t0 = time.monotonic()
         pass_mod.run(model, config, findings)
         timings[name] = round(time.monotonic() - t0, 3)
-    check_stale_pragmas(model, findings)
+    # The structural rules see the whole tree, not just `[semantic] scan`.
+    t0 = time.monotonic()
+    tree = parse_cache.build_model(root, config, "lex",
+                                   scan_dirs=structure.SCAN_DIRS)
+    structure.run(tree, config, findings)
+    timings["structure"] = round(time.monotonic() - t0, 3)
+    check_stale_pragmas({**model.files, **tree.files}, findings,
+                        SEMANTIC_RULES, TOOL_NAME)
     model.pass_timings = timings
     return model, findings
 
@@ -240,7 +237,7 @@ def main(argv=None):
         changed = changed_files(args.root, args.diff_base)
         if changed is not None:
             gate = [f for f in active
-                    if f.path in changed or f.rule.startswith("stale-")]
+                    if f.path in changed or f.rule in TREE_GATED_RULES]
     for f in active:
         mark = "" if f in gate else " [outside diff scope]"
         print(f"{f}{mark}")
@@ -306,6 +303,33 @@ SELF_TEST_EXPECTATIONS = {
         "rules": {"hot-path-shared-cas": [("src/app/kernel.h", 8),
                                           ("src/app/kernel.h", 14)]},
     },
+    "hot_path_escape": {
+        "rules": {"hot-path-alloc": [("src/m/helpers.h", 9)],
+                  "hot-path-block": [("src/m/helpers.h", 15)],
+                  "hot-path-throw": [("src/m/helpers.h", 23)]},
+    },
+    "qualified_free_call": {
+        "rules": {"hot-path-alloc": [("src/app/kernel.h", 7)]},
+    },
+    "auto_local_receiver": {
+        "rules": {"hot-path-alloc": [("src/app/store.cc", 19)]},
+    },
+    "subscript_receiver": {
+        "rules": {"hot-path-alloc": [("src/app/sim.cc", 31)]},
+    },
+    "layer_inversion": {
+        "rules": {"layer-inversion": [("src/common/bad_layer.h", 6)]},
+    },
+    "include_cycle": {
+        "rules": {"include-cycle": [("src/ring/a.h", 5)]},
+    },
+    "lock_order_cycle": {
+        "rules": {"lock-order-cycle": [("src/locks/order.cc", 13),
+                                       ("src/locks/order.cc", 36)]},
+    },
+    "stale_suppression": {
+        "rules": {"stale-suppression": [("src/m/stale.cc", 7)]},
+    },
     "clean_ok": {"rules": {}},
 }
 
@@ -316,7 +340,9 @@ def run_self_test(root):
         print(f"igs_semantic: fixture dir missing: {fixtures}",
               file=sys.stderr)
         return 2
-    failures = []
+    failures = [f"{name}: fixture has no SELF_TEST_EXPECTATIONS entry"
+                for name in sorted(os.listdir(fixtures))
+                if name not in SELF_TEST_EXPECTATIONS]
     for name, exp in sorted(SELF_TEST_EXPECTATIONS.items()):
         fdir = os.path.join(fixtures, name)
         layers = os.path.join(fdir, "layers.toml")

@@ -11,7 +11,7 @@ compile_commands.json.  Two frontends produce one intermediate model
                     template classes, member/param/local types, constexpr
                     requires-probes, explicit instantiations).
 
-Four passes run over the model (tools/semantic/passes/):
+Five passes run over the model (tools/semantic/passes/):
 
   hot_path        template-aware hot-path escape analysis with per-backend
                   attribution through instantiated specializations;
@@ -20,10 +20,12 @@ Four passes run over the model (tools/semantic/passes/):
   contracts       GraphStore backend concept-surface conformance and the
                   backend-capability matrix;
   telemetry_keys  telemetry counter-name registry, naming-scheme
-                  conformance, and golden-JSON key cross-check.
+                  conformance, and golden-JSON key cross-check;
+  structure       module-layer DAG, include cycles and lock-order cycles
+                  over src, bench, tests and examples.
 
 Findings share igs_lint's allow() pragma mechanism, an audited baseline
 file with stale-entry detection (tools/semantic/baseline.py), and the
-SARIF 2.1.0 emitter shared with tools/igs_analyzer.py
+SARIF 2.1.0 emitter shared with tools/igs_dataflow.py
 (tools/semantic/sarif.py).
 """

@@ -383,7 +383,8 @@ class _Parser:
                           template_params=template_params or
                           (cls.template_params if cls and not cls_name
                            else template_params or ()),
-                          params=params, return_type=ret, virtual=virtual)
+                          params=params, return_type=ret, virtual=virtual,
+                          namespace=self.namespace())
         if cls is not None:
             cls.add_member(fn)
         self.model.add_function(fn)

@@ -8,8 +8,8 @@ messages are built from stable entity names, so a match survives
 unrelated churn while any change to the finding itself (renamed symbol,
 different backend attribution) un-baselines it.
 
-All three tools that support baselining (igs_analyzer, igs_semantic,
-igs_dataflow) share one file, tools/analysis_baseline.json:
+Both tools that support baselining (igs_semantic, igs_dataflow) share
+one file, tools/analysis_baseline.json:
 
     {
       "tools": {

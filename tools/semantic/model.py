@@ -76,8 +76,10 @@ class ClassInfo:
 
 class FunctionInfo:
     def __init__(self, name, file, line, cls=None, template_params=(),
-                 params=(), return_type="", body=None, virtual=False):
+                 params=(), return_type="", body=None, virtual=False,
+                 namespace=""):
         self.name = name
+        self.namespace = namespace          # enclosing 'igs::stream::detail'
         self.file = file                    # FileModel
         self.line = line
         self.cls = cls                      # ClassInfo or None

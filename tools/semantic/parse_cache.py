@@ -34,8 +34,8 @@ from . import ast_lite
 from .model import Model
 
 SOURCE_EXTS = (".h", ".cc", ".cpp")
-EXCLUDED_PARTS = ("lint_fixtures", "analyzer_fixtures",
-                  "semantic_fixtures", "dataflow_fixtures", "build")
+EXCLUDED_PARTS = ("lint_fixtures", "semantic_fixtures", "dataflow_fixtures",
+                  "build")
 _PARALLEL_MIN_FILES = 24
 
 
@@ -142,12 +142,14 @@ def _merge(model, frag):
 
 
 def build_model(root, config, frontend="auto", compile_commands=None,
-                jobs=None):
-    """The whole-program Model for `root` under `config` (layers.toml).
-    Mirrors the serial per-file parse loop exactly; see module doc for
-    the parallel/cached fast path."""
+                jobs=None, scan_dirs=None):
+    """The whole-program Model for `root` under `config` (layers.toml),
+    over `scan_dirs` (default: `[semantic] scan`).  Mirrors the serial
+    per-file parse loop exactly; see module doc for the parallel/cached
+    fast path."""
     sem = config.get("semantic", {})
-    scan_dirs = sem.get("scan", ["src"])
+    if scan_dirs is None:
+        scan_dirs = sem.get("scan", ["src"])
     model = Model(root)
     model.backend_names = set(sem.get("backends", {}))
     files = discover_sources(root, scan_dirs)

@@ -1,27 +1,31 @@
 """Template-aware hot-path escape analysis with per-backend attribution.
 
 Walks from the [hot_paths] roots in layers.toml through the call graph,
-but — unlike the line-regex walk in igs_analyzer — resolves member calls
-through the *types* of their receivers.  When a receiver's type is a
-template parameter that stands for a graph-store backend (engine.cc's
-explicit instantiations, or the configured backend list for uninstantiated
-kernels), the walk forks once per backend, `if constexpr (requires ...)`
-branches are pruned against that backend's real member surface, and every
-finding names the backend whose instantiation reaches it.
+resolving member calls through the *types* of their receivers (an `auto&`
+local bound to a container element takes the element type) and
+namespace- or class-qualified calls through their qualifier.  When a
+receiver's type is a template parameter that stands for a graph-store
+backend (engine.cc's explicit instantiations, or the configured backend
+list for uninstantiated kernels), the walk forks once per backend,
+`if constexpr (requires ...)` branches are pruned against that backend's
+real member surface, and every finding names the backend whose
+instantiation reaches it.
 
-Rules (shared IDs with igs_lint/igs_analyzer so existing audited pragmas
-suppress all three tools): hot-path-alloc, hot-path-block, hot-path-throw,
-plus two of its own: hot-path-virtual (virtual dispatch on the hot path —
-this repo keeps its kernels devirtualized by construction, so any hit is
-a regression) and hot-path-shared-cas (a call to telemetry::Gauge::add or
-Gauge::watermark, whose CAS loop on one shared atomic<double> bounces a
-cache line between every worker that reaches it).
+Rules: hot-path-alloc, hot-path-block and hot-path-throw; hot-path-virtual
+(virtual dispatch on the hot path — this repo keeps its kernels
+devirtualized by construction, so any hit is a regression); and
+hot-path-shared-cas (a call to telemetry::Gauge::add or Gauge::watermark,
+whose CAS loop on one shared atomic<double> bounces a cache line between
+every worker that reaches it).  igs::Spinlock is deliberately not
+blocking: busy-wait per-vertex locking is the paper's baseline update
+mechanism.
 """
 
 import fnmatch
 
 from . import add
 from .. import ast_lite
+from ..model import type_base
 
 ALLOC_CALLS = frozenset({
     "push_back", "emplace_back", "resize", "reserve", "insert", "emplace",
@@ -153,8 +157,50 @@ def _receiver_class_name(model, fn, binding, receiver):
             return binding.get(tb, tb)
     if fn.body is not None:
         for v in ast_lite.iter_locals(fn.file.tokens, *fn.body):
-            if v.name == receiver and v.type_base != "auto":
-                return binding.get(v.type_base, v.type_base)
+            if v.name != receiver:
+                continue
+            if v.type_base == "auto":
+                et = _element_type(fn, v)
+                return binding.get(et, et) if et else None
+            return binding.get(v.type_base, v.type_base)
+    return None
+
+
+def _element_type(fn, v):
+    """Type of an `auto` local bound to container elements: every
+    `name[...]` in its initializer (`auto& s = d ? out_[p] : in_[p];`)
+    must subscript a field or parameter whose declared type has the same
+    first template argument, which is then the local's type."""
+    toks = fn.file.tokens
+    spelled = dict(fn.cls.field_types) if fn.cls is not None else {}
+    spelled.update((name, full) for _tb, name, full in fn.params if name)
+    found = set()
+    for k in range(v.init_lo + 1, v.init_hi - 1):
+        t = toks[k]
+        if t.kind != "id" or toks[k + 1].text != "[" or \
+                toks[k - 1].text in (".", "->", "::"):
+            continue
+        arg = _first_template_arg(spelled.get(t.text, ""))
+        if arg is None:
+            return None
+        found.add(type_base(arg))
+    return found.pop() if len(found) == 1 else None
+
+
+def _first_template_arg(spelling):
+    """'std :: vector < DahEdgeSet > &' -> ' DahEdgeSet ', else None."""
+    lt = spelling.find("<")
+    if lt < 0:
+        return None
+    depth = 0
+    for i in range(lt + 1, len(spelling)):
+        ch = spelling[i]
+        if ch == "<":
+            depth += 1
+        elif depth == 0 and ch in ",>":
+            return spelling[lt + 1:i]
+        elif ch == ">":
+            depth -= 1
     return None
 
 
@@ -221,12 +267,14 @@ def _scan_body(model, fn, binding, backend, dead, findings):
     for c in ast_lite.iter_calls(toks, lo, hi):
         if not _alive(c.idx, dead):
             continue
-        if c.name in ALLOC_CALLS and (c.receiver is not None or
+        # A member call on any receiver, `queues[c].push_back(t)` too.
+        member = toks[c.idx - 1].text in (".", "->")
+        if c.name in ALLOC_CALLS and (member or
                                       c.name.startswith("make_") or
                                       c.name in ("malloc", "calloc",
                                                  "realloc", "strdup")):
             emit(c.line, "hot-path-alloc", f"container growth '{c.name}()'")
-        elif c.name in BLOCK_CALLS and c.receiver is not None:
+        elif c.name in BLOCK_CALLS and member:
             emit(c.line, "hot-path-block", f"blocking '{c.name}()'")
         elif c.name in SHARED_CAS_CALLS and _receiver_is(
                 model, fn, binding, c.receiver, SHARED_CAS_CALLS[c.name]):
@@ -267,6 +315,20 @@ def _resolve(model, fn, binding, call):
         ci = model.find_class(cname)
         if ci is not None:
             for tf in ci.members.get(call.name, ()):
+                out.append((tf, {}))
+        return out
+    if call.receiver is None and call.qualifier is not None:
+        # `Class::member(...)` reaches the class's members;
+        # `ns::free(...)` the src/ free functions of a namespace ending
+        # in that qualifier (`detail::apply_usc_direction` from
+        # igs::stream).  std:: and other library calls match neither.
+        ci = model.find_class(call.qualifier)
+        if ci is not None:
+            return [(tf, {}) for tf in ci.members.get(call.name, ())]
+        for tf in model.by_name.get(call.name, ()):
+            if tf.cls is None and tf.file.rel.startswith("src/") and \
+                    (tf.namespace == call.qualifier or
+                     tf.namespace.endswith("::" + call.qualifier)):
                 out.append((tf, {}))
         return out
     if call.receiver is None and call.qualifier is None:

@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 emitter shared by igs_analyzer.py and igs_semantic.py.
+"""SARIF 2.1.0 emitter shared by igs_semantic.py and igs_dataflow.py.
 
 Both tools produce Finding-shaped objects (path, line, rule, message,
 suppressed, baselined, level); this module owns the serialization so the
