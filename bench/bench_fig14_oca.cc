@@ -33,46 +33,24 @@ main(int argc, char** argv)
         const auto& ds = gen::find_dataset("yt");
         TextTable t({"threshold", "compute speedup @10K",
                      "compute speedup @100K"});
+        const std::size_t sizes[2] = {10000, 100000};
+        Cycles off[2];
+        for (int i = 0; i < 2; ++i) {
+            off[i] = bench::run_stream(ds, sizes[i],
+                                       bench::batches_for(sizes[i]),
+                                       UpdatePolicy::kBaseline,
+                                       Algo::kPageRank)
+                         .compute_cycles;
+        }
         for (double th : {0.1, 0.15, 0.25, 0.4, 0.5}) {
             double sp[2];
-            int i = 0;
-            for (std::size_t b : {std::size_t{10000}, std::size_t{100000}}) {
-                const std::size_t nb = bench::batches_for(b);
-                const auto off = bench::run_stream(
-                    ds, b, nb, UpdatePolicy::kBaseline, Algo::kPageRank,
-                    false);
-                auto run_with = [&](double threshold) {
-                    core::EngineConfig cfg2;
-                    cfg2.policy = UpdatePolicy::kBaseline;
-                    cfg2.oca.enabled = true;
-                    cfg2.oca.threshold = threshold;
-                    sim::SimEngine engine(cfg2, sim::MachineParams{},
-                                           sim::SwCostParams{},
-                                           sim::HauCostParams{},
-                                           ds.model.num_vertices);
-                    analytics::IncrementalPageRank pr;
-                    auto genr = ds.make_generator();
-                    Cycles compute = 0;
-                    for (std::uint64_t k = 1; k <= nb; ++k) {
-                        stream::EdgeBatch batch;
-                        batch.id = k;
-                        batch.set_edges(genr.take(b));
-                        engine.ingest(batch);
-                        if (engine.compute_due()) {
-                            const auto work = engine.take_pending_work();
-                            compute += pr
-                                           .on_batch(engine.graph(),
-                                                     work.affected)
-                                           .cycles(
-                                               analytics::
-                                                   ComputeCostParams{});
-                        }
-                    }
-                    return compute;
-                };
-                const Cycles with_oca = run_with(th);
-                sp[i++] = static_cast<double>(off.compute_cycles) /
-                          static_cast<double>(with_oca);
+            for (int i = 0; i < 2; ++i) {
+                const auto on = bench::run_stream(
+                    ds, sizes[i], bench::batches_for(sizes[i]),
+                    UpdatePolicy::kBaseline, Algo::kPageRank,
+                    {.enabled = true, .threshold = th});
+                sp[i] = static_cast<double>(off[i]) /
+                        static_cast<double>(on.compute_cycles);
             }
             t.row().cell(th, 2).cell(sp[0]).cell(sp[1]);
         }
@@ -94,9 +72,10 @@ main(int argc, char** argv)
             int i = 0;
             for (Algo algo : {Algo::kPageRank, Algo::kSssp}) {
                 const auto off = bench::run_stream(
-                    ds, b, nb, UpdatePolicy::kBaseline, algo, false);
+                    ds, b, nb, UpdatePolicy::kBaseline, algo);
                 const auto on = bench::run_stream(
-                    ds, b, nb, UpdatePolicy::kBaseline, algo, true);
+                    ds, b, nb, UpdatePolicy::kBaseline, algo,
+                    {.enabled = true});
                 sp[i++] = static_cast<double>(off.compute_cycles) /
                           static_cast<double>(
                               std::max<Cycles>(on.compute_cycles, 1));

@@ -33,7 +33,8 @@ main(int argc, char** argv)
             core::AbrParams every;
             every.n = 1; // instrument every batch
             const auto instr = bench::run_stream(
-                ds, b, 3, UpdatePolicy::kAbrUsc, Algo::kNone, false, every);
+                ds, b, 3, UpdatePolicy::kAbrUsc, Algo::kNone,
+                {.enabled = false}, every);
             const auto plain = bench::run_stream(
                 ds, b, 3, UpdatePolicy::kAlwaysReorderUsc, Algo::kNone);
             t.row()
@@ -53,7 +54,8 @@ main(int argc, char** argv)
             // ABR falls back to baseline after batch 1; from then on every
             // active batch pays the concurrent-hash-map path.
             const auto instr = bench::run_stream(
-                ds, b, 4, UpdatePolicy::kAbr, Algo::kNone, false, every);
+                ds, b, 4, UpdatePolicy::kAbr, Algo::kNone,
+                {.enabled = false}, every);
             const auto plain = bench::run_stream(
                 ds, b, 4, UpdatePolicy::kBaseline, Algo::kNone);
             // Compare only batches 2.. (batch 1 of the ABR run reorders).
@@ -84,9 +86,9 @@ main(int argc, char** argv)
         // Compare update cycles with OCA instrumentation on vs off, with
         // identical update paths (compute excluded to isolate upkeep).
         const auto with_oca = bench::run_stream(
-            ds, b, nb, UpdatePolicy::kAbrUsc, Algo::kNone, true);
+            ds, b, nb, UpdatePolicy::kAbrUsc, Algo::kNone, {.enabled = true});
         const auto without = bench::run_stream(
-            ds, b, nb, UpdatePolicy::kAbrUsc, Algo::kNone, false);
+            ds, b, nb, UpdatePolicy::kAbrUsc, Algo::kNone, {.enabled = false});
         t.row()
             .cell(std::string("ABR+USC+OCA vs ABR+USC"))
             .cell(ds.name)

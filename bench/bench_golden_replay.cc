@@ -105,7 +105,8 @@ main(int argc, char** argv)
     for (const Replay& r : set->replays) {
         const auto res =
             bench::run_stream(gen::find_dataset(r.dataset), r.batch_size,
-                              r.num_batches, r.policy, r.algo, r.oca);
+                              r.num_batches, r.policy, r.algo,
+                              {.enabled = r.oca});
         t.row()
             .cell(r.dataset)
             .cell(static_cast<std::uint64_t>(r.batch_size))

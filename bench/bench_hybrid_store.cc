@@ -257,8 +257,10 @@ run_equivalence(const Workload& wl)
     cfg.graph_backend = core::GraphBackend::kHybrid;
     core::AnyRealTimeEngine hy_engine(cfg, ds.model.num_vertices, pool);
 
-    analytics::IncrementalPageRank pr_as;
-    analytics::IncrementalPageRank pr_hy;
+    analytics::incremental::PageRank pr_as;
+    analytics::incremental::PageRank pr_hy;
+    pr_as.full_rerun(as_engine.graph());
+    pr_hy.full_rerun(hy_engine.engine<graph::HybridStore>().graph());
     auto gen_as = ds.make_generator();
     auto gen_hy = ds.make_generator();
     for (std::uint64_t k = 1; k <= wl.num_batches; ++k) {
@@ -273,9 +275,9 @@ run_equivalence(const Workload& wl)
         if (as_engine.compute_due() && hy_engine.compute_due()) {
             const auto wa = as_engine.take_pending_work();
             const auto wh = hy_engine.take_pending_work();
-            (void)pr_as.on_batch(as_engine.graph(), wa.affected);
-            (void)pr_hy.on_batch(
-                hy_engine.engine<graph::HybridStore>().graph(), wh.affected);
+            (void)bench::compute_round(pr_as, as_engine.graph(), wa);
+            (void)bench::compute_round(
+                pr_hy, hy_engine.engine<graph::HybridStore>().graph(), wh);
         }
     }
 

@@ -110,7 +110,8 @@ replay(Gen& genr, std::size_t num_vertices, const Run& run)
     cfg.pipeline_depth = run.pipeline_depth;
     sim::SimEngine engine(cfg, sim::MachineParams{}, sim::SwCostParams{},
                           sim::HauCostParams{}, num_vertices);
-    analytics::IncrementalPageRank pr;
+    analytics::incremental::PageRank pr;
+    pr.full_rerun(engine.graph());
     const analytics::ComputeCostParams ccp;
 
     OverlapResult out;
@@ -125,9 +126,8 @@ replay(Gen& genr, std::size_t num_vertices, const Run& run)
         out.hidden_cycles += rep.update_hidden_cycles;
         if (engine.compute_due()) {
             const core::PendingWork work = engine.take_pending_work();
-            const analytics::ComputeStats stats =
-                pr.on_batch(engine.graph(), work.affected);
-            const Cycles compute = stats.cycles(ccp);
+            const Cycles compute =
+                bench::compute_round(pr, engine.graph(), work).cycles(ccp);
             out.compute_cycles += compute;
             engine.note_compute_round(compute);
             b.computed = true;

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "analytics/compute_meter.h"
-#include "analytics/pagerank.h"
-#include "analytics/sssp.h"
+#include "analytics/incremental/pagerank.h"
+#include "analytics/incremental/sssp.h"
 #include "common/check.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -29,6 +29,7 @@
 #include "core/engine.h"
 #include "gen/datasets.h"
 #include "graph/degree_aware_hash.h"
+#include "graph/dirty_set_view.h"
 #include "graph/hybrid_store.h"
 #include "graph/store_tuning.h"
 #include "sim/sim_engine.h"
@@ -361,6 +362,36 @@ class JsonSink {
 };
 
 /**
+ * One metered compute round of a memoized kernel: the round's launch cost
+ * plus the kernel's delta work over the epoch's dirty set.  The kernel
+ * must already be warm for `g`'s vertex space (prime it with
+ * `full_rerun` on the still-empty graph), so every metered round is a
+ * delta round.
+ */
+template <typename Graph>
+analytics::ComputeStats
+compute_round(analytics::incremental::PageRank& pr, const Graph& g,
+              const core::PendingWork& work)
+{
+    analytics::ComputeMeter m;
+    m.round();
+    pr.delta_propagate(graph::DirtySetView(g, work.affected), &m);
+    return m.stats();
+}
+
+template <typename Graph>
+analytics::ComputeStats
+compute_round(analytics::incremental::Sssp& sssp, const Graph& g,
+              const core::PendingWork& work)
+{
+    analytics::ComputeMeter m;
+    m.round();
+    sssp.delta_update(graph::DirtySetView(g, work.affected), work.inserted,
+                      work.deleted, &m);
+    return m.stats();
+}
+
+/**
  * Replay `num_batches` batches of `batch_size` edges of `ds` through an
  * input-aware engine with the given policy, running the chosen incremental
  * algorithm on each (possibly OCA-aggregated) snapshot.
@@ -368,17 +399,20 @@ class JsonSink {
 inline StreamResult
 run_stream(const gen::DatasetSpec& ds, std::size_t batch_size,
            std::size_t num_batches, core::UpdatePolicy policy,
-           Algo algo = Algo::kPageRank, bool oca = false,
+           Algo algo = Algo::kPageRank,
+           const core::OcaParams& oca = {.enabled = false},
            const core::AbrParams& abr = core::AbrParams{})
 {
     core::EngineConfig cfg;
     cfg.policy = policy;
     cfg.abr = abr;
-    cfg.oca.enabled = oca;
+    cfg.oca = oca;
     sim::SimEngine engine(cfg, sim::MachineParams{}, sim::SwCostParams{},
                            sim::HauCostParams{}, ds.model.num_vertices);
-    analytics::IncrementalPageRank pr;
-    analytics::IncrementalSssp sssp(0);
+    analytics::incremental::PageRank pr;
+    analytics::incremental::Sssp sssp(0);
+    pr.full_rerun(engine.graph());
+    sssp.full_rerun(engine.graph());
     auto genr = ds.make_generator();
 
     StreamResult out;
@@ -393,23 +427,16 @@ run_stream(const gen::DatasetSpec& ds, std::size_t batch_size,
         if (algo != Algo::kNone && engine.compute_due()) {
             const auto work = engine.take_pending_work();
             rec.computed = true;
-            switch (algo) {
-              case Algo::kPageRank:
-                rec.compute = pr.on_batch(engine.graph(), work.affected);
-                break;
-              case Algo::kSssp:
-                rec.compute = sssp.on_batch(engine.graph(), work.inserted,
-                                            work.deleted);
-                break;
-              case Algo::kNone:
-                break;
-            }
+            rec.compute = algo == Algo::kPageRank
+                              ? compute_round(pr, engine.graph(), work)
+                              : compute_round(sssp, engine.graph(), work);
             out.compute_cycles += rec.compute.cycles(ccp);
         }
         out.batches.push_back(std::move(rec));
     }
     if (JsonSink* sink = JsonSink::active()) {
-        sink->record_stream(ds.name, batch_size, policy, algo, oca, abr, out);
+        sink->record_stream(ds.name, batch_size, policy, algo, oca.enabled,
+                            abr, out);
     }
     return out;
 }

@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analytics/sssp.h"
+#include "analytics/incremental/sssp.h"
 #include "core/engine.h"
 #include "gen/edge_stream.h"
 
@@ -49,7 +49,8 @@ main(int argc, char** argv)
     config.policy = core::UpdatePolicy::kAbrUsc;
     config.oca.enabled = false;
     core::RealTimeEngine engine(config, model.num_vertices);
-    analytics::IncrementalSssp proximity(kFlaggedAccount);
+    analytics::incremental::Sssp proximity(kFlaggedAccount);
+    proximity.full_rerun(engine.graph());
 
     constexpr std::size_t kBatchSize = 500; // ~sub-second reaction
     std::size_t alerts = 0;
@@ -62,7 +63,8 @@ main(int argc, char** argv)
         engine.ingest(batch);
 
         const core::PendingWork work = engine.take_pending_work();
-        proximity.on_batch(engine.graph(), work.inserted, work.deleted);
+        proximity.delta_update(engine.graph().dirty_view(work.affected),
+                               work.inserted, work.deleted);
 
         // Alert newly-close accounts (affected vertices only: the
         // incremental model guarantees distances elsewhere are unchanged).

@@ -4,13 +4,14 @@
  *
  * Streams a synthetic R-MAT graph into a @ref igs::core::RealTimeEngine
  * (real threads, real locks — the production frontend), lets ABR pick the
- * update path per batch, and keeps PageRank fresh incrementally.
+ * update path per batch, and keeps PageRank fresh incrementally: the
+ * memoized kernel re-settles only what each round's dirty set reaches.
  *
  *   $ ./quickstart
  */
 #include <cstdio>
 
-#include "analytics/pagerank.h"
+#include "analytics/incremental/pagerank.h"
 #include "core/engine.h"
 #include "gen/rmat.h"
 
@@ -29,7 +30,8 @@ main()
 
     gen::RmatGenerator rmat(gen::RmatParams{.scale = 14, .seed = 42});
     core::RealTimeEngine engine(config, rmat.num_vertices());
-    analytics::IncrementalPageRank pagerank;
+    analytics::incremental::PageRank pagerank;
+    pagerank.full_rerun(engine.graph()); // converged state of the empty graph
 
     // 2. Stream batches; compute after each (or after two, when OCA
     //    aggregates overlapping batches).
@@ -54,7 +56,7 @@ main()
 
         if (engine.compute_due()) {
             const core::PendingWork work = engine.take_pending_work();
-            pagerank.on_batch(engine.graph(), work.affected);
+            pagerank.delta_propagate(engine.graph().dirty_view(work.affected));
         } else {
             std::printf("          compute deferred (OCA overlap %.2f)\n",
                         report.overlap);

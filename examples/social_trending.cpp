@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "analytics/pagerank.h"
+#include "analytics/incremental/pagerank.h"
 #include "core/engine.h"
 #include "gen/datasets.h"
 
@@ -33,7 +33,8 @@ main(int argc, char** argv)
     config.policy = core::UpdatePolicy::kAbrUscHau;
     config.oca.enabled = true;
     core::RealTimeEngine engine(config, ds.model.num_vertices);
-    analytics::IncrementalPageRank trending;
+    analytics::incremental::PageRank trending;
+    trending.full_rerun(engine.graph());
 
     constexpr std::size_t kBatchSize = 50000;
     std::printf("%-6s %-10s %-6s %-8s %-8s %s\n", "batch", "path", "CAD",
@@ -61,7 +62,7 @@ main(int argc, char** argv)
 
         if (compute_now) {
             const core::PendingWork work = engine.take_pending_work();
-            trending.on_batch(engine.graph(), work.affected);
+            trending.delta_propagate(engine.graph().dirty_view(work.affected));
         }
     }
 

@@ -1,18 +1,22 @@
 /**
  * @file
- * Memoized PageRank with dirty-set-seeded delta propagation.
+ * Memoized PageRank with dirty-set-seeded delta propagation — the one
+ * incremental PageRank (the compute phase's Kineograph/SAGA-Bench model)
+ * that the engines, benches and examples run.
  *
- * Unlike the batch-local analytics::IncrementalPageRank (which seeds
- * only the batch-affected vertices), this kernel persists a @ref
- * RankState across epochs and seeds each delta round with the epoch's
- * dirty set *and its out-neighborhood*: a dirty vertex's out-degree may
- * have changed, which alters the contribution every one of its
- * out-neighbors pulls — missing those is the classic seeding gap that
- * makes affected-only propagation drift from the from-scratch fixpoint.
+ * The kernel persists a @ref RankState across epochs and seeds each
+ * delta round with the epoch's dirty set *and its out-neighborhood*: a
+ * dirty vertex's out-degree may have changed, which alters the
+ * contribution every one of its out-neighbors pulls — seeding only the
+ * touched vertices would let ranks drift from the from-scratch fixpoint.
  * With the widened seed the pull-based propagation converges to the
  * same fixpoint static_pagerank converges to, up to the residual
  * tolerance (the randomized equivalence harness in
  * tests/test_incremental.cc pins this on all three backends).
+ *
+ * Callers without a converged state for the current vertex space run
+ * full_rerun first; on a graph that starts empty that is cheap, and every
+ * later round is a delta round (tests/test_analytics.cc pins this path).
  *
  * Deletion-safe by construction: rank pulls are recomputed from the
  * current topology, so a deleted edge simply stops contributing the

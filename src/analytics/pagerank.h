@@ -1,10 +1,11 @@
 /**
  * @file
- * PageRank: static (GAP-style pull iteration to convergence) and
- * incremental (affected-vertex propagation, the Kineograph/Vora model
- * SAGA-Bench uses).
+ * Static PageRank (GAP-style pull iteration to convergence) and its
+ * parameters.  The incremental, epoch-persistent kernel that the engines'
+ * compute rounds run is analytics::incremental::PageRank
+ * (incremental/pagerank.h); this from-scratch kernel is its reference.
  *
- * Both operate on any store satisfying the graph::GraphReadPath concept —
+ * It operates on any store satisfying the graph::GraphReadPath concept —
  * a live AdjacencyList / IndexedAdjacency, or the pipeline's immutable
  * SnapshotView.  The concept constraint documents (and enforces) that the
  * compute phase only touches the read path: an algorithm cannot silently
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "analytics/compute_meter.h"
 #include "graph/graph_store.h"
 
 namespace igs::analytics {
@@ -37,8 +37,7 @@ struct PageRankParams {
 template <typename Graph>
     requires graph::GraphReadPath<Graph>
 std::vector<double>
-static_pagerank(const Graph& g, const PageRankParams& params = {},
-                ComputeMeter* meter = nullptr)
+static_pagerank(const Graph& g, const PageRankParams& params = {})
 {
     const std::size_t n = g.num_vertices();
     std::vector<double> rank(n, n == 0 ? 0.0 : 1.0 / static_cast<double>(n));
@@ -47,13 +46,7 @@ static_pagerank(const Graph& g, const PageRankParams& params = {},
         return rank;
     }
     const double base = (1.0 - params.damping) / static_cast<double>(n);
-    if (meter != nullptr) {
-        meter->round();
-    }
     for (std::uint32_t it = 0; it < params.max_iterations; ++it) {
-        if (meter != nullptr) {
-            meter->iteration();
-        }
         double error = 0.0;
         // Precompute outgoing contributions to keep the pull loop cheap.
         std::vector<double> contrib(n, 0.0);
@@ -68,10 +61,6 @@ static_pagerank(const Graph& g, const PageRankParams& params = {},
             for (const Neighbor& u : g.edges(v, Direction::kIn)) {
                 sum += contrib[u.id];
             }
-            if (meter != nullptr) {
-                meter->activate();
-                meter->traverse(g.degree(v, Direction::kIn));
-            }
             next[v] = base + params.damping * sum;
             error += std::abs(next[v] - rank[v]);
         }
@@ -82,115 +71,6 @@ static_pagerank(const Graph& g, const PageRankParams& params = {},
     }
     return rank;
 }
-
-/**
- * Incremental PageRank: per-vertex ranks persist across batches; each
- * compute round seeds the frontier with the batch-affected vertices and
- * propagates rank changes outward until deltas fall below tolerance.
- *
- * This is the standard streaming approximation: vertices far from any
- * modification keep their stale (already converged) ranks.
- */
-class IncrementalPageRank {
-  public:
-    explicit IncrementalPageRank(const PageRankParams& params = {})
-        : params_(params)
-    {
-    }
-
-    /** Current rank estimates (resized lazily). */
-    const std::vector<double>& ranks() const { return rank_; }
-
-    /**
-     * Run one compute round over `g`, seeding from `affected` (vertices
-     * touched by the just-ingested batch(es)).  Returns counted work.
-     */
-    template <typename Graph>
-        requires graph::GraphReadPath<Graph>
-    ComputeStats
-    on_batch(const Graph& g, const std::vector<VertexId>& affected,
-             ComputeMeter* external_meter = nullptr)
-    {
-        ComputeMeter local;
-        ComputeMeter* meter = external_meter != nullptr ? external_meter
-                                                        : &local;
-        const std::size_t n = g.num_vertices();
-        ensure_rank_capacity(n);
-        const double base = (1.0 - params_.damping) / static_cast<double>(n);
-        const ComputeStats before = meter->stats();
-        meter->round();
-
-        std::vector<VertexId> frontier;
-        frontier.reserve(affected.size());
-        for (VertexId v : affected) {
-            if (!in_frontier_[v]) {
-                in_frontier_[v] = true;
-                frontier.push_back(v);
-            }
-        }
-
-        for (std::uint32_t it = 0;
-             it < params_.max_iterations && !frontier.empty(); ++it) {
-            meter->iteration();
-            std::vector<VertexId> next_frontier;
-            for (VertexId v : frontier) {
-                in_frontier_[v] = false;
-            }
-            for (VertexId v : frontier) {
-                meter->activate();
-                double sum = 0.0;
-                for (const Neighbor& u : g.edges(v, Direction::kIn)) {
-                    meter->traverse();
-                    const auto deg = g.degree(u.id, Direction::kOut);
-                    if (deg > 0) {
-                        sum += rank_[u.id] / static_cast<double>(deg);
-                    }
-                }
-                const double new_rank = base + params_.damping * sum;
-                if (std::abs(new_rank - rank_[v]) > params_.tolerance) {
-                    rank_[v] = new_rank;
-                    for (const Neighbor& w : g.edges(v, Direction::kOut)) {
-                        meter->traverse();
-                        if (!in_frontier_[w.id]) {
-                            in_frontier_[w.id] = true;
-                            next_frontier.push_back(w.id);
-                        }
-                    }
-                } else {
-                    rank_[v] = new_rank;
-                }
-            }
-            frontier.swap(next_frontier);
-        }
-        for (VertexId v : frontier) {
-            in_frontier_[v] = false; // iteration cap hit; clear residue
-        }
-
-        ComputeStats delta = meter->stats();
-        delta.activations -= before.activations;
-        delta.traversals -= before.traversals;
-        delta.rounds -= before.rounds;
-        delta.iterations -= before.iterations;
-        delta.seeds -= before.seeds;
-        return delta;
-    }
-
-  private:
-    void
-    ensure_rank_capacity(std::size_t n)
-    {
-        if (rank_.size() < n) {
-            const double init =
-                n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
-            rank_.resize(n, init);
-            in_frontier_.resize(n, false);
-        }
-    }
-
-    PageRankParams params_;
-    std::vector<double> rank_;
-    std::vector<bool> in_frontier_;
-};
 
 } // namespace igs::analytics
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Single-source shortest paths: static (frontier Bellman-Ford, GAP `sssp`
- * semantics on positive weights) and incremental (KickStarter-style:
- * insertions relax locally; deletions invalidate and rebuild the affected
- * dependence subtree).
+ * Static single-source shortest paths (frontier Bellman-Ford, GAP `sssp`
+ * semantics on positive weights).  The incremental, epoch-persistent
+ * kernel (KickStarter-style trimming) that the engines' compute rounds
+ * run is analytics::incremental::Sssp (incremental/sssp.h); this
+ * from-scratch kernel is its reference.
  */
 #ifndef IGS_ANALYTICS_SSSP_H
 #define IGS_ANALYTICS_SSSP_H
@@ -11,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analytics/compute_meter.h"
 #include "common/check.h"
 #include "common/types.h"
 #include "graph/graph_store.h"
@@ -25,7 +25,7 @@ namespace igs::analytics {
 template <typename Graph>
     requires graph::GraphReadPath<Graph>
 std::vector<Weight>
-static_sssp(const Graph& g, VertexId source, ComputeMeter* meter = nullptr)
+static_sssp(const Graph& g, VertexId source)
 {
     const std::size_t n = g.num_vertices();
     std::vector<Weight> dist(n, kInfiniteDistance);
@@ -33,25 +33,13 @@ static_sssp(const Graph& g, VertexId source, ComputeMeter* meter = nullptr)
         return dist;
     }
     IGS_CHECK(source < n);
-    if (meter != nullptr) {
-        meter->round();
-    }
     dist[source] = 0.0f;
     std::vector<VertexId> frontier{source};
     std::vector<bool> in_next(n, false);
     while (!frontier.empty()) {
-        if (meter != nullptr) {
-            meter->iteration();
-        }
         std::vector<VertexId> next;
         for (VertexId v : frontier) {
-            if (meter != nullptr) {
-                meter->activate();
-            }
             for (const Neighbor& e : g.edges(v, Direction::kOut)) {
-                if (meter != nullptr) {
-                    meter->traverse();
-                }
                 const Weight cand = dist[v] + e.weight;
                 if (cand < dist[e.id]) {
                     dist[e.id] = cand;
@@ -69,202 +57,6 @@ static_sssp(const Graph& g, VertexId source, ComputeMeter* meter = nullptr)
     }
     return dist;
 }
-
-/**
- * Incremental SSSP with support for edge deletions.
- *
- * Insertions only lower distances: relax outward from inserted edges'
- * endpoints.  A deletion may invalidate distances that depended on the
- * removed edge; the affected dependence region is found conservatively
- * (vertices whose current distance was achieved through the deleted edge,
- * transitively), reset to infinity, and re-relaxed from its boundary —
- * the "trimming" approach of KickStarter.
- */
-class IncrementalSssp {
-  public:
-    explicit IncrementalSssp(VertexId source) : source_(source) {}
-
-    VertexId source() const { return source_; }
-    const std::vector<Weight>& distances() const { return dist_; }
-
-    /**
-     * One compute round after ingesting a batch.
-     * @param g          graph after the batch was applied
-     * @param inserted   inserted edges (src,dst,weight)
-     * @param deleted    deleted edges
-     */
-    template <typename Graph>
-        requires graph::GraphReadPath<Graph>
-    ComputeStats
-    on_batch(const Graph& g, const std::vector<StreamEdge>& inserted,
-             const std::vector<StreamEdge>& deleted,
-             ComputeMeter* external_meter = nullptr)
-    {
-        ComputeMeter local;
-        ComputeMeter* meter =
-            external_meter != nullptr ? external_meter : &local;
-        const ComputeStats before = meter->stats();
-        meter->round();
-        const std::size_t n = g.num_vertices();
-        ensure_dist_capacity(n);
-
-        std::vector<VertexId> frontier;
-        auto push = [&](VertexId v) {
-            if (!in_frontier_[v]) {
-                in_frontier_[v] = true;
-                frontier.push_back(v);
-            }
-        };
-
-        // --- Distance-increasing modifications: invalidate the
-        // dependence region (KickStarter-style trimming).  Two sources:
-        // deletions, and duplicate insertions — the engine *accumulates*
-        // weights on duplicates, so an "insert" can make an existing edge
-        // heavier and thereby lengthen paths through it.
-        {
-            std::vector<VertexId> dirty;
-            std::vector<VertexId> stack;
-            auto seed_if_dependent = [&](const StreamEdge& e) {
-                if (e.dst < n && dist_[e.dst] != kInfiniteDistance &&
-                    e.src < n && dist_[e.src] != kInfiniteDistance) {
-                    // Did dst's distance plausibly run through (src,dst)?
-                    if (dist_[e.dst] >= dist_[e.src] &&
-                        !dirty_flag(e.dst)) {
-                        mark_dirty(e.dst, stack);
-                    }
-                }
-            };
-            for (const StreamEdge& e : deleted) {
-                seed_if_dependent(e);
-            }
-            for (const StreamEdge& e : inserted) {
-                if (e.src >= n || e.dst >= n) {
-                    continue;
-                }
-                // Detect accumulation: the edge's current weight exceeds
-                // this insertion's contribution iff it already existed.
-                for (const Neighbor& nb : g.edges(e.src, Direction::kOut)) {
-                    meter->traverse();
-                    if (nb.id == e.dst) {
-                        if (nb.weight > e.weight + 1e-6f) {
-                            seed_if_dependent(e);
-                        }
-                        break;
-                    }
-                }
-            }
-            // Transitively dirty everything whose distance depended on a
-            // dirty vertex (conservative: any out-neighbor with a larger
-            // distance may have routed through it).
-            while (!stack.empty()) {
-                const VertexId v = stack.back();
-                stack.pop_back();
-                dirty.push_back(v);
-                meter->activate();
-                for (const Neighbor& e : g.edges(v, Direction::kOut)) {
-                    meter->traverse();
-                    if (!dirty_flag(e.id) &&
-                        dist_[e.id] != kInfiniteDistance &&
-                        dist_[e.id] >= dist_[v]) {
-                        mark_dirty(e.id, stack);
-                    }
-                }
-            }
-            // Reset and seed recomputation from the region's in-boundary.
-            for (VertexId v : dirty) {
-                dist_[v] = kInfiniteDistance;
-            }
-            for (VertexId v : dirty) {
-                for (const Neighbor& e : g.edges(v, Direction::kIn)) {
-                    meter->traverse();
-                    if (!dirty_flag(e.id) &&
-                        dist_[e.id] != kInfiniteDistance) {
-                        push(e.id);
-                    }
-                }
-            }
-            for (VertexId v : dirty) {
-                dirty_[v] = false;
-            }
-            if (!dirty.empty() && source_ < n) {
-                dist_[source_] = 0.0f;
-                push(source_);
-            }
-        }
-
-        // --- Insertions: relax from sources of new edges. ---------------
-        for (const StreamEdge& e : inserted) {
-            if (e.src < n && dist_[e.src] != kInfiniteDistance) {
-                push(e.src);
-            }
-        }
-        if (source_ < n && dist_[source_] != 0.0f) {
-            dist_[source_] = 0.0f;
-            push(source_);
-        }
-
-        // --- Relaxation to fixpoint. -------------------------------------
-        while (!frontier.empty()) {
-            meter->iteration();
-            std::vector<VertexId> next;
-            for (VertexId v : frontier) {
-                in_frontier_[v] = false;
-            }
-            std::vector<VertexId> current;
-            current.swap(frontier);
-            for (VertexId v : current) {
-                meter->activate();
-                for (const Neighbor& e : g.edges(v, Direction::kOut)) {
-                    meter->traverse();
-                    const Weight cand = dist_[v] + e.weight;
-                    if (cand < dist_[e.id]) {
-                        dist_[e.id] = cand;
-                        if (!in_frontier_[e.id]) {
-                            in_frontier_[e.id] = true;
-                            frontier.push_back(e.id);
-                        }
-                    }
-                }
-            }
-        }
-
-        ComputeStats delta = meter->stats();
-        delta.activations -= before.activations;
-        delta.traversals -= before.traversals;
-        delta.rounds -= before.rounds;
-        delta.iterations -= before.iterations;
-        delta.seeds -= before.seeds;
-        return delta;
-    }
-
-  private:
-    void
-    ensure_dist_capacity(std::size_t n)
-    {
-        if (dist_.size() < n) {
-            dist_.resize(n, kInfiniteDistance);
-            in_frontier_.resize(n, false);
-            dirty_.resize(n, false);
-            if (source_ < n) {
-                dist_[source_] = 0.0f;
-            }
-        }
-    }
-
-    bool dirty_flag(VertexId v) const { return dirty_[v]; }
-
-    void
-    mark_dirty(VertexId v, std::vector<VertexId>& stack)
-    {
-        dirty_[v] = true;
-        stack.push_back(v);
-    }
-
-    VertexId source_;
-    std::vector<Weight> dist_;
-    std::vector<bool> in_frontier_;
-    std::vector<bool> dirty_;
-};
 
 } // namespace igs::analytics
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "analytics/compute_meter.h"
 #include "common/check.h"
 #include "common/types.h"
 #include "graph/graph_store.h"
@@ -23,7 +22,7 @@ namespace igs::analytics {
 template <typename Graph>
     requires graph::GraphReadPath<Graph>
 std::vector<std::uint32_t>
-bfs_distances(const Graph& g, VertexId source, ComputeMeter* meter = nullptr)
+bfs_distances(const Graph& g, VertexId source)
 {
     const std::size_t n = g.num_vertices();
     std::vector<std::uint32_t> dist(n, ~0u);
@@ -31,24 +30,12 @@ bfs_distances(const Graph& g, VertexId source, ComputeMeter* meter = nullptr)
         return dist;
     }
     IGS_CHECK(source < n);
-    if (meter != nullptr) {
-        meter->round();
-    }
     dist[source] = 0;
     std::vector<VertexId> frontier{source};
     while (!frontier.empty()) {
-        if (meter != nullptr) {
-            meter->iteration();
-        }
         std::vector<VertexId> next;
         for (VertexId v : frontier) {
-            if (meter != nullptr) {
-                meter->activate();
-            }
             for (const Neighbor& e : g.edges(v, Direction::kOut)) {
-                if (meter != nullptr) {
-                    meter->traverse();
-                }
                 if (dist[e.id] == ~0u) {
                     dist[e.id] = dist[v] + 1;
                     next.push_back(e.id);
@@ -68,32 +55,20 @@ bfs_distances(const Graph& g, VertexId source, ComputeMeter* meter = nullptr)
 template <typename Graph>
     requires graph::GraphReadPath<Graph>
 std::vector<VertexId>
-connected_components(const Graph& g, ComputeMeter* meter = nullptr)
+connected_components(const Graph& g)
 {
     const std::size_t n = g.num_vertices();
     std::vector<VertexId> label(n);
     for (VertexId v = 0; v < n; ++v) {
         label[v] = v;
     }
-    if (meter != nullptr) {
-        meter->round();
-    }
     bool changed = true;
     while (changed) {
-        if (meter != nullptr) {
-            meter->iteration();
-        }
         changed = false;
         for (VertexId v = 0; v < n; ++v) {
-            if (meter != nullptr) {
-                meter->activate();
-            }
             VertexId best = label[v];
             for (Direction dir : {Direction::kOut, Direction::kIn}) {
                 for (const Neighbor& e : g.edges(v, dir)) {
-                    if (meter != nullptr) {
-                        meter->traverse();
-                    }
                     best = std::min(best, label[e.id]);
                 }
             }

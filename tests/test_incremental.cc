@@ -40,8 +40,10 @@ namespace {
 using analytics::incremental::IncrementalAnalytics;
 using analytics::incremental::IncrementalConfig;
 using stream::IncrementalPolicy;
+using testutil::apply_batch;
 using testutil::harness_seeds;
 using testutil::seed_trace;
+using testutil::tight_pagerank;
 using testutil::tight_tuning;
 
 // The dirty-set view is itself a read path over any read path — the
@@ -129,38 +131,6 @@ TEST(IncrementalPolicy, AutoKeysOnDirtyFractionAndDeleteRatio)
 }
 
 // ------------------------------------------- randomized equivalence
-
-/** Engine update semantics: a batch's insertions land before its
- *  deletions, symmetrically in both directions. */
-template <typename Graph>
-void
-apply_batch(Graph& g, const std::vector<StreamEdge>& ops)
-{
-    for (const StreamEdge& e : ops) {
-        if (!e.is_delete) {
-            g.apply_insert(e.src, {e.dst, e.weight}, Direction::kOut);
-            g.apply_insert(e.dst, {e.src, e.weight}, Direction::kIn);
-        }
-    }
-    for (const StreamEdge& e : ops) {
-        if (e.is_delete) {
-            g.apply_remove(e.src, e.dst, Direction::kOut);
-            g.apply_remove(e.dst, e.src, Direction::kIn);
-        }
-    }
-}
-
-/** Tolerances tight enough that residual truncation stays far below the
- *  1e-8 comparison threshold: the delta kernel's per-vertex residual is
- *  amplified at most n/(1-damping)-fold, 1e-12 * 300 / 0.15 ≈ 2e-9. */
-analytics::PageRankParams
-tight_pagerank()
-{
-    analytics::PageRankParams p;
-    p.tolerance = 1e-12;
-    p.max_iterations = 250;
-    return p;
-}
 
 IncrementalConfig
 harness_config(IncrementalPolicy policy)

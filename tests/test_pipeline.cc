@@ -16,7 +16,6 @@
 
 #include "analytics/compute_meter.h"
 #include "analytics/incremental/analytics.h"
-#include "analytics/pagerank.h"
 #include "analytics/sssp.h"
 #include "analytics/traversal.h"
 #include "common/mutex.h"
@@ -25,6 +24,7 @@
 #include "core/engine.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
+#include "graph/dirty_set_view.h"
 #include "graph/graph_store.h"
 #include "graph/indexed_adjacency.h"
 #include "graph/snapshot_view.h"
@@ -332,16 +332,26 @@ TEST(RealTimeEnginePipeline, DepthOneMatchesUnpipelinedEngineExactly)
 
 // ------------------------------------------------- depth-2 equivalence
 struct PipelineAnalytics {
-    analytics::IncrementalPageRank pagerank;
-    analytics::IncrementalSssp sssp{0};
+    analytics::incremental::PageRank pagerank;
+    analytics::incremental::Sssp sssp{0};
     analytics::ComputeMeter meter;
+
+    /** Converge both kernels on the engine's still-empty graph, so every
+     *  pipelined round is a delta round. */
+    void
+    prime(const graph::AdjacencyList& empty)
+    {
+        pagerank.full_rerun(empty);
+        sssp.full_rerun(empty);
+    }
 
     void
     round(const graph::SnapshotView& snap, const core::PendingWork& work)
     {
         meter.round_on(work.epoch);
-        pagerank.on_batch(snap, work.affected, &meter);
-        sssp.on_batch(snap, work.inserted, work.deleted, &meter);
+        const graph::DirtySetView view(snap, work.affected);
+        pagerank.delta_propagate(view, &meter);
+        sssp.delta_update(view, work.inserted, work.deleted, &meter);
     }
 };
 
@@ -359,6 +369,8 @@ TEST(RealTimeEnginePipeline, DepthTwoResultsEqualSerialRun)
     const auto piped_cfg = pipeline_config(core::UpdatePolicy::kAbrUsc, 2);
     core::RealTimeEngine serial_engine(serial_cfg, 2000, pool);
     core::RealTimeEngine piped_engine(piped_cfg, 2000, pool);
+    serial.prime(serial_engine.graph());
+    overlapped.prime(piped_engine.graph());
     serial_engine.set_compute(
         [&](const graph::SnapshotView& s, const core::PendingWork& w) {
             serial.round(s, w);

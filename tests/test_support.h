@@ -2,7 +2,8 @@
  * @file
  * Shared test scaffolding: deterministic stream/batch builders, engine
  * configs, and state-equality assertions used by the engine-equivalence
- * suites (test_pipeline.cc, test_hybrid_store.cc, test_incremental.cc).
+ * suites (test_pipeline.cc, test_hybrid_store.cc, test_incremental.cc,
+ * test_analytics.cc).
  *
  * The builders are *definitional* for several suites at once: two tests
  * calling pipeline_batch(k, n, seed) must get byte-identical batches or
@@ -19,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analytics/pagerank.h"
 #include "core/engine.h"
 #include "gen/edge_stream.h"
 #include "graph/adjacency_list.h"
@@ -130,6 +132,38 @@ expect_reports_equal(const core::BatchReport& a, const core::BatchReport& b)
     EXPECT_EQ(a.update.removes, b.update.removes);
     EXPECT_EQ(a.update_hidden_cycles, b.update_hidden_cycles);
     // wall_seconds is wall clock: nondeterministic by nature, excluded.
+}
+
+/** Engine update semantics: a batch's insertions land before its
+ *  deletions, symmetrically in both directions. */
+template <typename Graph>
+void
+apply_batch(Graph& g, const std::vector<StreamEdge>& ops)
+{
+    for (const StreamEdge& e : ops) {
+        if (!e.is_delete) {
+            g.apply_insert(e.src, {e.dst, e.weight}, Direction::kOut);
+            g.apply_insert(e.dst, {e.src, e.weight}, Direction::kIn);
+        }
+    }
+    for (const StreamEdge& e : ops) {
+        if (e.is_delete) {
+            g.apply_remove(e.src, e.dst, Direction::kOut);
+            g.apply_remove(e.dst, e.src, Direction::kIn);
+        }
+    }
+}
+
+/** Tolerances tight enough that residual truncation stays far below the
+ *  1e-8 comparison threshold: the delta kernel's per-vertex residual is
+ *  amplified at most n/(1-damping)-fold, 1e-12 * 300 / 0.15 ≈ 2e-9. */
+inline analytics::PageRankParams
+tight_pagerank()
+{
+    analytics::PageRankParams p;
+    p.tolerance = 1e-12;
+    p.max_iterations = 250;
+    return p;
 }
 
 /**
