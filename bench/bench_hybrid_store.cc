@@ -287,7 +287,7 @@ run_equivalence(const Workload& wl)
     eq.num_edges_as = ga.num_edges();
     eq.num_edges_hybrid = gh.num_edges();
     eq.edges_mismatched = count_edge_mismatches(ga, gh);
-    eq.topology_equal = gh.same_topology(ga);
+    eq.topology_equal = same_topology(gh, ga);
 
     const auto& ra = pr_as.ranks();
     const auto& rh = pr_hy.ranks();

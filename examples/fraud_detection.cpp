@@ -66,9 +66,10 @@ main(int argc, char** argv)
         proximity.delta_update(engine.graph().dirty_view(work.affected),
                                work.inserted, work.deleted);
 
-        // Alert newly-close accounts (affected vertices only: the
-        // incremental model guarantees distances elsewhere are unchanged).
-        for (VertexId v : work.affected) {
+        // Alert every account whose distance crossed the threshold this
+        // round.  Not only the batch's endpoints: an inserted edge also
+        // shortens the paths to every account downstream of it.
+        for (VertexId v = 0; v < proximity.distances().size(); ++v) {
             if (!alerted[v] && v != kFlaggedAccount &&
                 proximity.distances()[v] <= kAlertDistance) {
                 alerted[v] = true;
@@ -85,15 +86,24 @@ main(int argc, char** argv)
     }
 
     std::size_t reachable = 0;
-    for (Weight d : proximity.distances()) {
-        if (d != kInfiniteDistance) {
-            ++reachable;
-        }
+    std::size_t missed = 0;
+    for (VertexId v = 0; v < proximity.distances().size(); ++v) {
+        const Weight d = proximity.distances()[v];
+        reachable += d != kInfiniteDistance ? 1 : 0;
+        missed += !alerted[v] && v != kFlaggedAccount && d <= kAlertDistance
+                      ? 1
+                      : 0;
     }
     std::printf("\nprocessed %llu batches x %zu transactions\n",
                 static_cast<unsigned long long>(batches), kBatchSize);
     std::printf("accounts reachable from flagged account: %zu; alerts "
                 "raised: %zu\n",
                 reachable, alerts);
+    // Self-check: every account within the threshold was alerted.
+    if (missed != 0) {
+        std::printf("FAIL: %zu account(s) within %.2f were never alerted\n",
+                    missed, kAlertDistance);
+        return 1;
+    }
     return 0;
 }

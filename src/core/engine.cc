@@ -221,14 +221,9 @@ template <typename GraphT>
 BasicRealTimeEngine<GraphT>::BasicRealTimeEngine(const EngineConfig& config,
                                                  std::size_t num_vertices,
                                                  ThreadPool& pool)
-    : core_(config), graph_(num_vertices), pool_(pool),
+    : core_(config), graph_(num_vertices, config.store), pool_(pool),
       reorderer_(config.reorder_mode), locality_monitor_(config.renumber)
 {
-    // Adaptive backends take their tier/migration thresholds from the
-    // engine config; fixed-layout backends have no such hook.
-    if constexpr (requires { graph_.set_tuning(config.store); }) {
-        graph_.set_tuning(config.store);
-    }
 }
 
 template <typename GraphT>
@@ -364,44 +359,37 @@ template <typename GraphT>
 void
 BasicRealTimeEngine<GraphT>::maybe_renumber(const stream::EdgeBatch& batch)
 {
-    if constexpr (requires {
-                      graph_.apply_renumber(std::span<const VertexId>{});
-                      graph_.id_map();
-                  }) {
-        // One window = one batch: every update touches its src row (out)
-        // and dst row (in).
-        for (const StreamEdge& e : batch.edges()) {
-            locality_monitor_.observe(e.src);
-            locality_monitor_.observe(e.dst);
-        }
-        renumber_stats_.locality_ewma =
-            locality_monitor_.end_window(graph_.id_map());
-        renumber_stats_.last_window_score =
-            locality_monitor_.last_window_score();
-        renumber_stats_.windows = locality_monitor_.windows();
-        auto& t = RenumberTelemetry::get();
-        t.windows.inc();
-        t.ewma.set(renumber_stats_.locality_ewma);
-        if (!locality_monitor_.should_renumber()) {
-            return;
-        }
-        const std::size_t n = graph_.num_vertices();
-        std::vector<std::uint64_t> degrees(n);
-        for (std::size_t v = 0; v < n; ++v) {
-            const auto lv = static_cast<VertexId>(v);
-            degrees[v] = static_cast<std::uint64_t>(
-                             graph_.degree(lv, Direction::kOut)) +
-                         graph_.degree(lv, Direction::kIn);
-        }
-        graph_.apply_renumber(graph::LocalityRenumberer::plan(
-            degrees, core_.config().renumber.mode));
-        locality_monitor_.note_renumbered();
-        renumber_stats_.renumbers += 1;
-        renumber_stats_.locality_ewma = locality_monitor_.ewma();
-        t.total.inc();
-    } else {
-        (void)batch;
+    // One window = one batch: every update touches its src row (out)
+    // and dst row (in).
+    for (const StreamEdge& e : batch.edges()) {
+        locality_monitor_.observe(e.src);
+        locality_monitor_.observe(e.dst);
     }
+    renumber_stats_.locality_ewma =
+        locality_monitor_.end_window(graph_.id_map());
+    renumber_stats_.last_window_score =
+        locality_monitor_.last_window_score();
+    renumber_stats_.windows = locality_monitor_.windows();
+    auto& t = RenumberTelemetry::get();
+    t.windows.inc();
+    t.ewma.set(renumber_stats_.locality_ewma);
+    if (!locality_monitor_.should_renumber()) {
+        return;
+    }
+    const std::size_t n = graph_.num_vertices();
+    std::vector<std::uint64_t> degrees(n);
+    for (std::size_t v = 0; v < n; ++v) {
+        const auto lv = static_cast<VertexId>(v);
+        degrees[v] = static_cast<std::uint64_t>(
+                         graph_.degree(lv, Direction::kOut)) +
+                     graph_.degree(lv, Direction::kIn);
+    }
+    graph_.apply_renumber(graph::LocalityRenumberer::plan(
+        degrees, core_.config().renumber.mode));
+    locality_monitor_.note_renumbered();
+    renumber_stats_.renumbers += 1;
+    renumber_stats_.locality_ewma = locality_monitor_.ewma();
+    t.total.inc();
 }
 
 template class BasicRealTimeEngine<graph::AdjacencyList>;

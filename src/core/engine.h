@@ -203,15 +203,12 @@ using ComputeFn =
  * wall-clock; HAU is unavailable (hardware) so kAbrUscHau and kAlwaysHau
  * degrade to their software equivalents.
  *
- * Templated over the live graph structure (the backend).  `GraphT` must
- * provide the mutable-store surface AdjacencyList defines: ensure_vertices,
- * apply_insert/apply_remove, lock(v,dir), latest_bid/exchange_latest_bid,
- * epoch()/advance_epoch(), and the graph::GraphStore read path for
- * snapshot publication.  Backends with extra hooks are detected with
- * `if constexpr (requires ...)`: a `set_tuning(StoreTuning)` member
- * receives EngineConfig::store at construction, and a
- * `publish_tier_telemetry()` member is invoked at each epoch publication
- * (HybridStore implements both).  Use the @ref RealTimeEngine /
+ * Templated over the live graph structure (the backend), a
+ * graph::BasicStore: the engine constructs it with EngineConfig::store
+ * and drives its update, lock, latest-bid, epoch, renumber and read
+ * surface.  The one optional hook, detected with
+ * `if constexpr (requires ...)`, is `publish_tier_telemetry()`, invoked
+ * at each epoch publication (HybridStore).  Use the @ref RealTimeEngine /
  * @ref HybridRealTimeEngine aliases, or @ref AnyRealTimeEngine to pick
  * the backend at runtime from EngineConfig::graph_backend.
  *

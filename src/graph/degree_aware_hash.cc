@@ -1,11 +1,9 @@
 #include "graph/degree_aware_hash.h"
 
-#include <algorithm>
-
 namespace igs::graph {
 
 ApplyResult
-DahEdgeSet::insert(Neighbor nbr, std::uint32_t hash_threshold)
+DahEdgeSet::insert(Neighbor nbr, const StoreTuning& tuning)
 {
     if (!table_.empty()) {
         return hash_insert(nbr);
@@ -23,7 +21,7 @@ DahEdgeSet::insert(Neighbor nbr, std::uint32_t hash_threshold)
     // igs-lint: allow(hot-path-alloc) -- amortized neighbor-array growth
     array_.push_back(nbr);
     ++count_;
-    if (count_ >= hash_threshold) {
+    if (count_ >= tuning.dah_hash_threshold) {
         migrate_to_hash();
     }
     return r;
@@ -138,89 +136,6 @@ DahEdgeSet::grow_table()
         }
         table_[i] = s;
     }
-}
-
-std::vector<Neighbor>
-DahEdgeSet::sorted() const
-{
-    std::vector<Neighbor> result;
-    result.reserve(count_);
-    for_each([&](Neighbor n) { result.push_back(n); });
-    std::sort(result.begin(), result.end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
-    return result;
-}
-
-DegreeAwareHash::DegreeAwareHash(std::size_t num_vertices,
-                                 const StoreTuning& tuning)
-    : tuning_(tuning)
-{
-    ensure_vertices(num_vertices);
-}
-
-void
-DegreeAwareHash::ensure_vertices(std::size_t n)
-{
-    if (n <= out_.size()) {
-        return;
-    }
-    out_.resize(n);
-    in_.resize(n);
-    auto new_bids = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t i = 0; i < latest_bid_size_; ++i) {
-        new_bids[i].store(latest_bid_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    }
-    latest_bid_ = std::move(new_bids);
-    latest_bid_size_ = n;
-    // As in AdjacencyList: growth happens between batches, with no lock held.
-    out_locks_.resize(n);
-    in_locks_.resize(n);
-}
-
-ApplyResult
-DegreeAwareHash::apply_insert(VertexId v, Neighbor nbr, Direction dir)
-{
-    const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
-    // igs-lint: allow(hot-path-alloc) -- streamed insert is the workload
-    const ApplyResult r = set.insert(nbr, tuning_.dah_hash_threshold);
-    if (!r.found && dir == Direction::kOut) {
-        num_edges_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return r;
-}
-
-ApplyResult
-DegreeAwareHash::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
-{
-    const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
-    const ApplyResult r = set.remove(nbr_id);
-    if (r.found && dir == Direction::kOut) {
-        num_edges_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    return r;
-}
-
-void
-DegreeAwareHash::apply_renumber(std::span<const VertexId> l2p)
-{
-    IGS_CHECK_MSG(l2p.size() == out_.size(),
-                  "apply_renumber: assignment must cover the vertex space");
-    const std::size_t n = out_.size();
-    std::vector<DahEdgeSet> new_out(n);
-    std::vector<DahEdgeSet> new_in(n);
-    for (std::size_t l = 0; l < n; ++l) {
-        const VertexId p_old = map_.to_physical(static_cast<VertexId>(l));
-        new_out[l2p[l]] = std::move(out_[p_old]);
-        new_in[l2p[l]] = std::move(in_[p_old]);
-    }
-    out_ = std::move(new_out);
-    in_ = std::move(new_in);
-    map_.rebind(l2p);
 }
 
 } // namespace igs::graph

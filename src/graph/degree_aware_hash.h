@@ -8,26 +8,19 @@
  * is migrated into an open-addressed hash table so duplicate checks become
  * O(1) instead of an O(degree) scan.
  *
- * Same engine-wide update semantics as @ref igs::graph::AdjacencyList
- * (weight accumulation on duplicates, insertions before deletions).
+ * The edge set is @ref DahEdgeSet; the store around it is
+ * graph::BasicStore, as for AdjacencyList and HybridStore.
  */
 #ifndef IGS_GRAPH_DEGREE_AWARE_HASH_H
 #define IGS_GRAPH_DEGREE_AWARE_HASH_H
 
-#include <atomic>
 #include <cstdint>
 #include <iterator>
-#include <memory>
-#include <span>
 #include <vector>
 
-#include "common/check.h"
-#include "common/spinlock.h"
 #include "common/types.h"
-#include "graph/adjacency_list.h"
-#include "graph/dirty_set_view.h"
+#include "graph/basic_store.h"
 #include "graph/store_tuning.h"
-#include "graph/vertex_id_map.h"
 
 namespace igs::graph {
 
@@ -42,11 +35,10 @@ class DahEdgeSet {
      *  (StoreTuning::dah_hash_threshold, same default). */
     static constexpr std::uint32_t kHashThreshold = 32;
 
-    /** See AdjacencyList::apply_insert.  `hash_threshold` is the
-     *  array -> hash migration degree for this set. */
-    ApplyResult insert(Neighbor nbr,
-                       std::uint32_t hash_threshold = kHashThreshold);
-    /** See AdjacencyList::apply_remove. */
+    /** Duplicate-check then insert (a hit accumulates the weight);
+     *  migrates to the hash table at StoreTuning::dah_hash_threshold. */
+    ApplyResult insert(Neighbor nbr, const StoreTuning& tuning);
+    /** Remove if present (no-op otherwise); never migrates back. */
     ApplyResult remove(VertexId nbr_id);
 
     std::uint32_t size() const { return count_; }
@@ -158,27 +150,6 @@ class DahEdgeSet {
                     ConstIterator(nullptr, e, e));
     }
 
-    /** Visit every stored neighbor. */
-    template <typename Fn>
-    void
-    for_each(Fn&& fn) const
-    {
-        if (table_.empty()) {
-            for (const Neighbor& n : array_) {
-                fn(n);
-            }
-        } else {
-            for (const auto& slot : table_) {
-                if (slot.id != kInvalidVertex) {
-                    fn(Neighbor{slot.id, slot.weight});
-                }
-            }
-        }
-    }
-
-    /** Sorted materialized copy (tests / CSR building). */
-    std::vector<Neighbor> sorted() const;
-
   private:
     void migrate_to_hash();
     void grow_table();
@@ -201,141 +172,19 @@ class DahEdgeSet {
     std::uint32_t count_ = 0;
 };
 
+// Array, hash table, then the count in one padded word.
+static_assert(sizeof(DahEdgeSet) ==
+                  2 * sizeof(std::vector<Neighbor>) + sizeof(std::uint64_t),
+              "DahEdgeSet must not grow");
+
 /** Dynamic directed graph with degree-aware hashed edge sets. */
-class DegreeAwareHash {
+class DegreeAwareHash : public BasicStore<DahEdgeSet> {
   public:
-    explicit DegreeAwareHash(std::size_t num_vertices = 0,
-                             const StoreTuning& tuning = {});
-
-    /** Replace the migration threshold (affects future inserts only). */
-    void set_tuning(const StoreTuning& tuning) { tuning_ = tuning; }
-    const StoreTuning& tuning() const { return tuning_; }
-
-    /**
-     * Movable (single-threaded only — not during a parallel update).
-     * Mirrors AdjacencyList/HybridStore: the moved-from store is left
-     * empty and reusable — `num_edges_` transfers with an exchange so
-     * the source reads 0, and its bookkeeping is cleared to match.
-     */
-    DegreeAwareHash(DegreeAwareHash&& other) noexcept
-        : out_(std::move(other.out_)), in_(std::move(other.in_)),
-          out_locks_(std::move(other.out_locks_)),
-          in_locks_(std::move(other.in_locks_)),
-          latest_bid_(std::move(other.latest_bid_)),
-          latest_bid_size_(other.latest_bid_size_), tuning_(other.tuning_),
-          map_(std::move(other.map_)),
-          num_edges_(other.num_edges_.exchange(0, std::memory_order_relaxed))
-    {
-        other.latest_bid_size_ = 0;
-        other.map_.reset();
-    }
-
-    /**
-     * Move-assignment is deliberately deleted, matching the other two
-     * backends: the atomic member suppresses the implicit version, so
-     * `a = move(b)` silently failed to compile — make it explicit.
-     */
-    DegreeAwareHash& operator=(DegreeAwareHash&&) = delete;
-
-    std::size_t num_vertices() const { return out_.size(); }
-    EdgeId num_edges() const { return num_edges_; }
-
-    /** Grow vertex space (single-threaded, between batches). */
-    void ensure_vertices(std::size_t n);
-
-    ApplyResult apply_insert(VertexId v, Neighbor nbr, Direction dir);
-    ApplyResult apply_remove(VertexId v, VertexId nbr_id, Direction dir);
-
-    /** Lock index follows row placement (physical); locks are stateless
-     *  between batches so a renumber never permutes them. */
-    Spinlock&
-    lock(VertexId v, Direction dir)
-    {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_locks_[p]
-                                      : in_locks_[p];
-    }
-
-    std::uint32_t
-    degree(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).size();
-    }
-
-    const DahEdgeSet&
-    edge_set(VertexId v, Direction dir) const
-    {
-        const VertexId p = map_.to_physical(v);
-        return dir == Direction::kOut ? out_[p] : in_[p];
-    }
-
-    /**
-     * Iterable neighbor range (graph::GraphReadPath), representation-
-     * blind across the array/hash tiers.  Unordered — hashed vertices
-     * yield slot order — matching the unordered-adjacency contract of
-     * the other backends' read paths.  Invalidated by any mutation of
-     * `v`'s `dir` set.
-     */
-    DahEdgeSet::View
-    edges(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).view();
-    }
-
-    /**
-     * Read path annotated with an epoch's dirty set — see
-     * AdjacencyList::dirty_view.  Declared backend capability
-     * (tools/layers.toml [semantic.backends.DegreeAwareHash]).
-     */
-    DirtySetView<DegreeAwareHash>
-    dirty_view(std::span<const VertexId> dirty) const
-    {
-        return DirtySetView<DegreeAwareHash>(*this, dirty);
-    }
-
-    /** Sorted copy of a vertex's edges (tests / snapshots). */
-    std::vector<Neighbor>
-    sorted_edges(VertexId v, Direction dir) const
-    {
-        return edge_set(v, dir).sorted();
-    }
-
-    /** See AdjacencyList::latest_bid / exchange_latest_bid. */
-    std::uint64_t
-    latest_bid(VertexId v) const
-    {
-        return latest_bid_[v].load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    exchange_latest_bid(VertexId v, std::uint64_t bid)
-    {
-        return latest_bid_[v].exchange(bid, std::memory_order_relaxed);
-    }
-
-    /**
-     * Re-place edge sets under a new logical->physical assignment — see
-     * AdjacencyList::apply_renumber.  Edge-set payloads (logical neighbor
-     * ids, including hash-table contents) travel whole with their set, so
-     * no rehashing happens.  Declared backend capability
-     * (tools/layers.toml [semantic.backends.DegreeAwareHash]).
-     */
-    void apply_renumber(std::span<const VertexId> l2p);
-
-    /** The logical/physical id map (identity until `apply_renumber`). */
-    const VertexIdMap& id_map() const { return map_; }
-
-  private:
-    std::vector<DahEdgeSet> out_;
-    std::vector<DahEdgeSet> in_;
-    SpinlockArray out_locks_;
-    SpinlockArray in_locks_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> latest_bid_;
-    std::size_t latest_bid_size_ = 0;
-    StoreTuning tuning_;
-    VertexIdMap map_;
-    std::atomic<EdgeId> num_edges_{0};
+    using BasicStore::BasicStore;
 };
+
+static_assert(GraphStore<DegreeAwareHash>,
+              "DegreeAwareHash must satisfy the versioned read-path concept");
 
 } // namespace igs::graph
 

@@ -4,8 +4,8 @@
  *
  * The compute phase only ever *reads* topology: `num_vertices()`,
  * `degree(v, dir)` and `edges(v, dir)`.  The update phase mutates a live
- * structure through a different, backend-specific surface (apply_insert /
- * apply_remove / edges_mut).  Splitting the two lets the engine pipeline
+ * structure through a different surface (apply_insert / apply_remove /
+ * apply_coalesced).  Splitting the two lets the engine pipeline
  * them: compute for epoch k runs against an immutable @ref SnapshotView
  * while the ingest of batch k+1 mutates the live store (DESIGN.md §11,
  * and the decoupled ingest/compute model of the streaming-graph survey).
@@ -15,9 +15,11 @@
  * `epoch()` names the publication it was copied at.  Consumers can assert
  * they are computing on the epoch they were handed.
  *
- * Implementations: graph::AdjacencyList and graph::IndexedAdjacency (live,
- * mutable) and graph::SnapshotView (immutable, copy-on-publish) — checked
- * by static_asserts in their headers' tests.
+ * Implementations: the live, mutable stores graph::AdjacencyList,
+ * graph::DegreeAwareHash and graph::HybridStore (each a graph::BasicStore,
+ * checked by a static_assert in its header) and the simulator's
+ * graph::IndexedAdjacency; and graph::SnapshotView (immutable,
+ * copy-on-publish).
  */
 #ifndef IGS_GRAPH_GRAPH_STORE_H
 #define IGS_GRAPH_GRAPH_STORE_H

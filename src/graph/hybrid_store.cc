@@ -46,7 +46,34 @@ struct HybridTelemetry {
 // ---------------------------------------------------------------- edge set
 
 ApplyResult
-HybridEdgeSet::insert(Neighbor nbr, std::uint32_t sorted_threshold)
+HybridEdgeSet::insert(Neighbor nbr, const StoreTuning& tuning)
+{
+    auto& t = HybridTelemetry::get();
+    const std::uint8_t tier_before = tier_;
+    const ApplyResult r = place(nbr, tuning.hybrid_sorted_threshold);
+    t.probes[tier_before]->record(r.probes);
+    if (tier_ != tier_before) {
+        if (tier_before == kInline) {
+            t.promotions_to_sorted.inc();
+        }
+        if (tier_ == kHashed) {
+            t.promotions_to_hash.inc();
+        }
+    }
+    return r;
+}
+
+ApplyResult
+HybridEdgeSet::remove(VertexId nbr_id)
+{
+    const std::uint8_t tier_now = tier_;
+    const ApplyResult r = erase(nbr_id);
+    HybridTelemetry::get().probes[tier_now]->record(r.probes);
+    return r;
+}
+
+ApplyResult
+HybridEdgeSet::place(Neighbor nbr, std::uint32_t sorted_threshold)
 {
     if (tier_ == kHashed) {
         return hash_insert(nbr);
@@ -135,7 +162,7 @@ HybridEdgeSet::hash_insert(Neighbor nbr)
 }
 
 ApplyResult
-HybridEdgeSet::remove(VertexId nbr_id)
+HybridEdgeSet::erase(VertexId nbr_id)
 {
     if (tier_ == kHashed) {
         return hash_remove(nbr_id);
@@ -272,150 +299,15 @@ HybridEdgeSet::grow_index()
     }
 }
 
-std::vector<Neighbor>
-HybridEdgeSet::sorted() const
-{
-    const auto v = view();
-    std::vector<Neighbor> result(v.begin(), v.end());
-    std::sort(result.begin(), result.end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
-    return result;
-}
-
 // ------------------------------------------------------------------- store
 
 HybridStore::HybridStore(std::size_t num_vertices, const StoreTuning& tuning)
-    : tuning_(tuning)
+    : BasicStore(num_vertices, tuning)
 {
     // Resolve the tier telemetry at construction so every run that
     // touches a HybridStore exports the same registry keys, whether or
     // not any vertex ever promoted.
     HybridTelemetry::get();
-    ensure_vertices(num_vertices);
-}
-
-void
-HybridStore::ensure_vertices(std::size_t n)
-{
-    if (n <= out_.size()) {
-        return;
-    }
-    out_.resize(n);
-    in_.resize(n);
-    auto new_bids = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t i = 0; i < latest_bid_size_; ++i) {
-        new_bids[i].store(latest_bid_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    }
-    latest_bid_ = std::move(new_bids);
-    latest_bid_size_ = n;
-    // As in AdjacencyList: growth happens between batches, no lock held.
-    out_locks_.resize(n);
-    in_locks_.resize(n);
-}
-
-ApplyResult
-HybridStore::insert_into(HybridEdgeSet& set, Neighbor nbr)
-{
-    auto& t = HybridTelemetry::get();
-    const std::uint8_t tier_before = set.tier();
-    // igs-lint: allow(hot-path-alloc) -- streamed insert is the workload
-    const ApplyResult r = set.insert(nbr, tuning_.hybrid_sorted_threshold);
-    t.probes[tier_before]->record(r.probes);
-    if (set.tier() != tier_before) {
-        if (tier_before == HybridEdgeSet::kInline) {
-            t.promotions_to_sorted.inc();
-        }
-        if (set.tier() == HybridEdgeSet::kHashed) {
-            t.promotions_to_hash.inc();
-        }
-    }
-    return r;
-}
-
-ApplyResult
-HybridStore::remove_from(HybridEdgeSet& set, VertexId nbr_id)
-{
-    const std::uint8_t tier_now = set.tier();
-    const ApplyResult r = set.remove(nbr_id);
-    HybridTelemetry::get().probes[tier_now]->record(r.probes);
-    return r;
-}
-
-ApplyResult
-HybridStore::apply_insert(VertexId v, Neighbor nbr, Direction dir)
-{
-    const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
-    const ApplyResult r = insert_into(set, nbr);
-    if (!r.found && dir == Direction::kOut) {
-        num_edges_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return r;
-}
-
-ApplyResult
-HybridStore::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
-{
-    const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
-    const ApplyResult r = remove_from(set, nbr_id);
-    if (r.found && dir == Direction::kOut) {
-        num_edges_.fetch_sub(1, std::memory_order_relaxed);
-    }
-    return r;
-}
-
-std::size_t
-HybridStore::apply_coalesced(VertexId v, Direction dir, FlatWeightTable& table)
-{
-    const VertexId p = map_.to_physical(v);
-    IGS_DCHECK(p < out_.size());
-    auto& set = dir == Direction::kOut ? out_[p] : in_[p];
-    // Steps 2-3 (Fig 8): one scan of the edge data, draining table
-    // entries that match existing edges (weight accumulates in place).
-    for (Neighbor& n : set.view_mut()) {
-        Weight w = 0.0f;
-        if (table.drain(n.id, &w)) {
-            n.weight += w;
-        }
-    }
-    // Step 4: the remainder is new edges by construction; the tiered
-    // insert keeps promotion and index invariants (its duplicate check
-    // is a guaranteed miss, so the probes it reports stay honest).
-    std::size_t appended = 0;
-    table.for_each([&](VertexId target, Weight w) {
-        const ApplyResult r = insert_into(set, Neighbor{target, w});
-        IGS_DCHECK(!r.found);
-        (void)r;
-        ++appended;
-    });
-    if (dir == Direction::kOut && appended != 0) {
-        num_edges_.fetch_add(appended, std::memory_order_relaxed);
-    }
-    return appended;
-}
-
-void
-HybridStore::apply_renumber(std::span<const VertexId> l2p)
-{
-    IGS_CHECK_MSG(l2p.size() == out_.size(),
-                  "apply_renumber: assignment must cover the vertex space");
-    const std::size_t n = out_.size();
-    // Move-permute the per-vertex records; heap arrays and hash indexes
-    // travel with their HybridEdgeSet, and edge payloads stay logical.
-    std::vector<HybridEdgeSet> new_out(n);
-    std::vector<HybridEdgeSet> new_in(n);
-    for (std::size_t l = 0; l < n; ++l) {
-        const VertexId p_old = map_.to_physical(static_cast<VertexId>(l));
-        new_out[l2p[l]] = std::move(out_[p_old]);
-        new_in[l2p[l]] = std::move(in_[p_old]);
-    }
-    out_ = std::move(new_out);
-    in_ = std::move(new_in);
-    map_.rebind(l2p);
 }
 
 HybridStore::TierCensus

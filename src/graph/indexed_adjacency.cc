@@ -1,8 +1,5 @@
 #include "graph/indexed_adjacency.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace igs::graph {
 
 IndexedAdjacency::IndexedAdjacency(std::size_t num_vertices)
@@ -18,13 +15,7 @@ IndexedAdjacency::ensure_vertices(std::size_t n)
     }
     out_.resize(n);
     in_.resize(n);
-    auto new_bids = std::make_unique<std::atomic<std::uint64_t>[]>(n);
-    for (std::size_t i = 0; i < latest_bid_size_; ++i) {
-        new_bids[i].store(latest_bid_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-    }
-    latest_bid_ = std::move(new_bids);
-    latest_bid_size_ = n;
+    latest_bid_.grow(n);
 }
 
 ApplyResult
@@ -83,39 +74,6 @@ IndexedAdjacency::apply_remove(VertexId v, VertexId nbr_id, Direction dir)
         --num_edges_;
     }
     return r;
-}
-
-std::vector<Neighbor>
-IndexedAdjacency::sorted_edges(VertexId v, Direction dir) const
-{
-    std::vector<Neighbor> copy = edges(v, dir);
-    std::sort(copy.begin(), copy.end(),
-              [](const Neighbor& a, const Neighbor& b) { return a.id < b.id; });
-    return copy;
-}
-
-bool
-IndexedAdjacency::same_topology(const AdjacencyList& other) const
-{
-    if (num_vertices() != other.num_vertices()) {
-        return false;
-    }
-    for (VertexId v = 0; v < num_vertices(); ++v) {
-        for (Direction dir : {Direction::kOut, Direction::kIn}) {
-            const auto a = sorted_edges(v, dir);
-            const auto b = other.sorted_edges(v, dir);
-            if (a.size() != b.size()) {
-                return false;
-            }
-            for (std::size_t i = 0; i < a.size(); ++i) {
-                if (a[i].id != b[i].id ||
-                    std::abs(a[i].weight - b[i].weight) > 1e-4f) {
-                    return false;
-                }
-            }
-        }
-    }
-    return true;
 }
 
 } // namespace igs::graph

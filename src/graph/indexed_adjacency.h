@@ -15,22 +15,21 @@
  *  - found at array position p  ->  probes = p + 1 (scan stops at match);
  *  - not found                  ->  probes = current length (full scan).
  *
- * For insert-only streams these probe counts are bit-identical to
- * AdjacencyList's (verified by tests); after deletions they may differ
- * slightly because AdjacencyList's swap-removal permutes scan order.
+ * Both structures remove with swap-with-last, so their arrays stay in the
+ * same order and these probe counts (and `len_before`) are bit-identical
+ * to AdjacencyList's on every insert and remove, deletions included —
+ * pinned per operation by IndexedEquivalenceTest in tests/test_graph.cc.
  */
 #ifndef IGS_GRAPH_INDEXED_ADJACENCY_H
 #define IGS_GRAPH_INDEXED_ADJACENCY_H
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
-#include "graph/adjacency_list.h"
+#include "graph/basic_store.h"
 
 namespace igs::graph {
 
@@ -64,27 +63,18 @@ class IndexedAdjacency {
         return dir == Direction::kOut ? out_[v] : in_[v];
     }
 
-    std::vector<Neighbor> sorted_edges(VertexId v, Direction dir) const;
-
-    std::uint64_t
-    latest_bid(VertexId v) const
-    {
-        return latest_bid_[v].load(std::memory_order_relaxed);
-    }
+    std::uint64_t latest_bid(VertexId v) const { return latest_bid_.at(v); }
 
     std::uint64_t
     exchange_latest_bid(VertexId v, std::uint64_t bid)
     {
-        return latest_bid_[v].exchange(bid, std::memory_order_relaxed);
+        return latest_bid_.exchange_at(v, bid);
     }
 
     /** Epoch token (graph/graph_store.h); same contract as
      *  AdjacencyList::epoch — advanced by the engine at publication. */
     EpochId epoch() const { return epoch_; }
     EpochId advance_epoch() { return ++epoch_; }
-
-    /** Order-insensitive structural equality against an AdjacencyList. */
-    bool same_topology(const AdjacencyList& other) const;
 
   private:
     static std::uint64_t
@@ -98,8 +88,7 @@ class IndexedAdjacency {
     /** (v, nbr) -> position of nbr in v's edge array, per direction. */
     std::unordered_map<std::uint64_t, std::uint32_t> out_index_;
     std::unordered_map<std::uint64_t, std::uint32_t> in_index_;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> latest_bid_;
-    std::size_t latest_bid_size_ = 0;
+    LatestBids latest_bid_;
     EpochId epoch_ = 0;
     EdgeId num_edges_ = 0;
 };

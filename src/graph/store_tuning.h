@@ -1,17 +1,19 @@
 /**
  * @file
- * Runtime tuning knobs shared by the adaptive graph stores.
+ * Runtime tuning knobs of the graph stores.
  *
- * The degree thresholds at which @ref igs::graph::DegreeAwareHash and
- * @ref igs::graph::HybridStore change a vertex's edge-set representation
- * used to be hard-coded constants; making them runtime values lets benches
- * sweep them and lets golden runs pin (and report) the exact values they
- * were produced with.  Every bench's JSON `host` block echoes the active
- * tuning so golden diffs are threshold-aware (tools/golden_check.py).
+ * Every graph::BasicStore holds one StoreTuning (constructor argument or
+ * `set_tuning`; the engine passes EngineConfig::store) and hands it to
+ * its edge set on each insert.  The adaptive edge sets read the degree
+ * at which they change representation from it — DahEdgeSet
+ * (DegreeAwareHash) and HybridEdgeSet (HybridStore); AdjacencyEdges has
+ * a single representation and ignores it.  Runtime values let benches
+ * sweep the thresholds and let golden runs pin (and report) the exact
+ * values they were produced with: every bench's JSON `host` block echoes
+ * the active tuning so golden diffs are threshold-aware
+ * (tools/golden_check.py).
  *
- * The defaults reproduce the historical constants, so a
- * default-constructed StoreTuning is behavior-identical to the
- * pre-tunable stores.
+ * The defaults are the historical compile-time constants.
  */
 #ifndef IGS_GRAPH_STORE_TUNING_H
 #define IGS_GRAPH_STORE_TUNING_H
@@ -20,7 +22,7 @@
 
 namespace igs::graph {
 
-/** Tier/migration thresholds for the adaptive stores. */
+/** Tier/migration thresholds for the adaptive edge sets. */
 struct StoreTuning {
     /**
      * DegreeAwareHash: degree at which a vertex's edge array migrates to

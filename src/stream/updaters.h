@@ -235,30 +235,9 @@ apply_usc_direction(Graph& g, const ReorderedDirection& rd, Direction dir,
             ctx.charge_hash_build(num_inserts);
 
             if (!table.empty()) {
-                if constexpr (requires { g.edges_mut(run.vertex, dir); }) {
-                    // Steps 2-4 (Fig 8): one scan of the edge data, hash
-                    // lookups per element, then append the non-matching
-                    // remainder.
-                    auto& edge_data = g.edges_mut(run.vertex, dir);
-                    for (Neighbor& n : edge_data) {
-                        Weight w = 0.0f;
-                        if (table.drain(n.id, &w)) {
-                            n.weight += w;
-                        }
-                    }
-                    std::size_t appended = 0;
-                    table.for_each([&](VertexId target, Weight w) {
-                        // igs-lint: allow(hot-path-alloc) -- amortized append
-                        edge_data.push_back(Neighbor{target, w});
-                        ++appended;
-                    });
-                    g.note_edges_added(dir, appended);
-                } else {
-                    // Backends whose edge sets carry internal invariants
-                    // (graph::HybridStore's tier index) run the coalesced
-                    // scan themselves and keep num_edges consistent.
-                    g.apply_coalesced(run.vertex, dir, table);
-                }
+                // Steps 2-4 (Fig 8): one scan of the edge data draining
+                // matches, then the non-matching remainder is appended.
+                g.apply_coalesced(run.vertex, dir, table);
             }
         }
 

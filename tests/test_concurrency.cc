@@ -274,7 +274,7 @@ TEST(ConcurrencyUpdatePath, BaselineLockPathMatchesSerialUnderContention)
         stream::apply_batch_baseline(parallel, batch, ctx);
     }
 
-    EXPECT_TRUE(parallel.same_topology(serial));
+    EXPECT_TRUE(same_topology(parallel, serial));
     EXPECT_EQ(parallel.num_edges(), serial.num_edges());
 }
 
@@ -298,7 +298,7 @@ TEST(ConcurrencyUpdatePath, UscRealPathMatchesBaselineUnderContention)
         stream::apply_batch_usc(usc, batch, rb, ctx);
     }
 
-    EXPECT_TRUE(usc.same_topology(baseline));
+    EXPECT_TRUE(same_topology(usc, baseline));
     EXPECT_EQ(usc.num_edges(), baseline.num_edges());
 }
 
@@ -327,7 +327,7 @@ TEST(ConcurrencyUpdatePath, HybridBaselineLockPathMatchesSerialUnderContention)
         stream::apply_batch_baseline(parallel, batch, ctx);
     }
 
-    EXPECT_TRUE(parallel.same_topology(serial));
+    EXPECT_TRUE(same_topology(parallel, serial));
     EXPECT_EQ(parallel.num_edges(), serial.num_edges());
     EXPECT_GT(parallel.tier_census().vertices[2], 0u);
 }
@@ -354,7 +354,7 @@ TEST(ConcurrencyUpdatePath, HybridUscRealPathMatchesBaselineUnderContention)
         stream::apply_batch_usc(usc, batch, rb, ctx);
     }
 
-    EXPECT_TRUE(usc.same_topology(baseline));
+    EXPECT_TRUE(same_topology(usc, baseline));
     EXPECT_EQ(usc.num_edges(), baseline.num_edges());
 }
 

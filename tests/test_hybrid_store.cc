@@ -193,11 +193,19 @@ TEST(HybridStore, TierCensusCountsOutSets)
     g.publish_tier_telemetry(); // must not crash; gauge values are exported
 }
 
-TEST(HybridStore, ApplyCoalescedMatchesIndividualInserts)
+// ------------------------------------------- shared BasicStore skeleton
+
+/** The engine backends: both run the USC kernel's coalesced apply. */
+template <typename Store>
+class CoalescedApply : public ::testing::Test {};
+using EngineStores = ::testing::Types<AdjacencyList, HybridStore>;
+TYPED_TEST_SUITE(CoalescedApply, EngineStores);
+
+TYPED_TEST(CoalescedApply, ApplyCoalescedMatchesIndividualInserts)
 {
     const StoreTuning tuning = tight_tuning();
-    HybridStore coalesced(2, tuning);
-    HybridStore individual(2, tuning);
+    TypeParam coalesced(2, tuning);
+    TypeParam individual(2, tuning);
     for (VertexId t = 0; t < 10; ++t) {
         coalesced.apply_insert(0, {t, 1.0f}, kOut);
         individual.apply_insert(0, {t, 1.0f}, kOut);
@@ -212,7 +220,58 @@ TEST(HybridStore, ApplyCoalescedMatchesIndividualInserts)
     const std::size_t appended = coalesced.apply_coalesced(0, kOut, table);
     EXPECT_EQ(appended, 4u);
     EXPECT_EQ(coalesced.num_edges(), individual.num_edges());
-    EXPECT_TRUE(coalesced.same_topology(individual));
+    EXPECT_TRUE(same_topology(coalesced, individual));
+    // The in-direction never counts toward num_edges.
+    table.reset(2);
+    table.add(5, 1.0f);
+    EXPECT_EQ(coalesced.apply_coalesced(1, kIn, table), 1u);
+    EXPECT_EQ(coalesced.num_edges(), individual.num_edges());
+    EXPECT_EQ(coalesced.degree(1, kIn), 1u);
+}
+
+/** All three stores: growth, epochs and moves come from BasicStore. */
+template <typename Store>
+class StoreSkeleton : public ::testing::Test {};
+using AllStores = ::testing::Types<AdjacencyList, DegreeAwareHash, HybridStore>;
+TYPED_TEST_SUITE(StoreSkeleton, AllStores);
+
+TYPED_TEST(StoreSkeleton, GrowthEpochAndMoveKeepState)
+{
+    // 40 out-edges cross every tight-tuning representation change.
+    TypeParam g(4, tight_tuning());
+    for (VertexId t = 0; t < 40; ++t) {
+        g.apply_insert(0, {100 + t, 1.0f + static_cast<float>(t)}, kOut);
+    }
+    g.apply_insert(1, {0, 2.0f}, kIn);
+    g.exchange_latest_bid(3, 7);
+    EXPECT_EQ(g.epoch(), 0u);
+    EXPECT_EQ(g.advance_epoch(), 1u);
+    const auto out_before = g.sorted_edges(0, kOut);
+
+    g.ensure_vertices(100);
+    EXPECT_EQ(g.num_vertices(), 100u);
+    EXPECT_EQ(g.num_edges(), 40u);
+    EXPECT_EQ(g.sorted_edges(0, kOut), out_before);
+    EXPECT_EQ(g.degree(1, kIn), 1u);
+    EXPECT_EQ(g.latest_bid(3), 7u);
+    EXPECT_EQ(g.latest_bid(99), 0u);
+    EXPECT_EQ(g.epoch(), 1u);
+
+    TypeParam moved(std::move(g));
+    EXPECT_EQ(moved.num_vertices(), 100u);
+    EXPECT_EQ(moved.num_edges(), 40u);
+    EXPECT_EQ(moved.sorted_edges(0, kOut), out_before);
+    EXPECT_EQ(moved.latest_bid(3), 7u);
+    EXPECT_EQ(moved.epoch(), 1u);
+    // The moved-from store is empty and reusable.
+    EXPECT_EQ(g.num_vertices(), 0u);
+    EXPECT_EQ(g.num_edges(), 0u);
+    EXPECT_EQ(g.epoch(), 0u);
+    EXPECT_FALSE(g.id_map().enabled());
+    g.ensure_vertices(2);
+    g.apply_insert(0, {1, 1.0f}, kOut);
+    EXPECT_EQ(g.num_edges(), 1u);
+    EXPECT_EQ(g.latest_bid(1), 0u);
 }
 
 TEST(HybridStore, MoveTransfersState)
@@ -300,8 +359,8 @@ TEST(CrossBackendEquivalence, IdenticalStateUnderMixedSchedules)
 
         EXPECT_EQ(hybrid.num_edges(), as.num_edges());
         EXPECT_EQ(dah.num_edges(), as.num_edges());
-        EXPECT_TRUE(hybrid.same_topology(as));
-        EXPECT_TRUE(hybrid.same_topology(dah));
+        EXPECT_TRUE(same_topology(hybrid, as));
+        EXPECT_TRUE(same_topology(hybrid, dah));
         // Identical application order -> bitwise-identical weights.
         for (VertexId v = 0; v < 300; ++v) {
             for (Direction dir : {kOut, kIn}) {
@@ -386,7 +445,7 @@ TEST(AnyRealTimeEngine, HybridBackendMatchesAdjacencyListBackend)
         as_engine.engine<graph::AdjacencyList>().graph();
     const auto& gh = hy_engine.engine<graph::HybridStore>().graph();
     EXPECT_EQ(ga.num_edges(), gh.num_edges());
-    EXPECT_TRUE(gh.same_topology(ga));
+    EXPECT_TRUE(same_topology(gh, ga));
     for (VertexId v = 0; v < ga.num_vertices(); ++v) {
         const auto ea = ga.sorted_edges(v, Direction::kOut);
         const auto eh = gh.sorted_edges(v, Direction::kOut);
@@ -440,7 +499,7 @@ TEST(HybridRealTimeEngine, PipelineDepthTwoMatchesDepthOne)
     piped.flush_pipeline();
     EXPECT_EQ(serial_rounds.load(), piped_rounds.load());
     EXPECT_GT(piped.pipeline_stats().epochs_published, 0u);
-    EXPECT_TRUE(piped.graph().same_topology(serial.graph()));
+    EXPECT_TRUE(same_topology(piped.graph(), serial.graph()));
     // The published snapshot reflects the full hybrid graph.
     const graph::SnapshotView snap = piped.snapshot();
     EXPECT_EQ(snap.num_edges(), piped.graph().num_edges());

@@ -317,7 +317,7 @@ TEST(RealTimeEnginePipeline, DepthOneMatchesUnpipelinedEngineExactly)
         // The legacy polling contract is untouched in pipeline mode.
         EXPECT_EQ(plain.compute_due(), piped.compute_due());
     }
-    EXPECT_TRUE(plain.graph().same_topology(piped.graph()));
+    EXPECT_TRUE(same_topology(plain.graph(), piped.graph()));
     EXPECT_GT(rounds, 0u);
     // An OCA-deferred tail may still be pending; flush it so the final
     // snapshot corresponds to the full stream.
@@ -398,7 +398,7 @@ TEST(RealTimeEnginePipeline, DepthTwoResultsEqualSerialRun)
     piped_engine.flush_pipeline();
 
     // Same epochs, same snapshots, same rounds => bitwise-equal results.
-    EXPECT_TRUE(serial_engine.graph().same_topology(piped_engine.graph()));
+    EXPECT_TRUE(same_topology(serial_engine.graph(), piped_engine.graph()));
     EXPECT_EQ(serial.meter.last_epoch(), overlapped.meter.last_epoch());
     EXPECT_EQ(serial.meter.stats().activations,
               overlapped.meter.stats().activations);

@@ -915,7 +915,7 @@ TEST(RenumberEngine, PipelineDepthTwoMatchesRenumberOffSerial)
     }
     piped.flush_pipeline();
     EXPECT_GE(piped.renumber_stats().renumbers, 1u);
-    EXPECT_TRUE(piped.graph().same_topology(serial.graph()));
+    EXPECT_TRUE(same_topology(piped.graph(), serial.graph()));
     // The published snapshot is logical, so it too is renumber-invariant.
     const graph::SnapshotView snap = piped.snapshot();
     EXPECT_EQ(snap.num_edges(), piped.graph().num_edges());

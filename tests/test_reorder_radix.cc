@@ -129,7 +129,7 @@ TEST_P(ReorderModeEngineTest, FinalGraphIndependentOfReorderMode)
         a.ingest(batch);
         b.ingest(batch);
     }
-    EXPECT_TRUE(a.graph().same_topology(b.graph()));
+    EXPECT_TRUE(same_topology(a.graph(), b.graph()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -284,6 +284,10 @@ SELF_TEST_EXPECTATIONS = {
     "missing_capability": {
         "rules": {"backend-contract": [("src/graph/mini_store.h", 6)]},
     },
+    "inherited_capability": {"rules": {}},
+    "inherited_capability_missing": {
+        "rules": {"backend-contract": [("src/graph/mini_store.h", 17)]},
+    },
     "bad_telemetry_key": {
         "rules": {"telemetry-key-naming": [("src/app/tele.cc", 8)]},
     },

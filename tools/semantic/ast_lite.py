@@ -227,6 +227,7 @@ class _Parser:
         while k < len(toks) and toks[k].kind == "id" and \
                 toks[k].text == "final":
             k += 1
+        bases_lo = k + 1
         if k < len(toks) and toks[k].text == ":":
             while k < len(toks) and toks[k].text not in ("{", ";"):
                 k += 1
@@ -234,6 +235,8 @@ class _Parser:
             return -1
         ci = ClassInfo(name, self.namespace(), self.fm, line,
                        template_params or ())
+        if bases_lo < k:
+            ci.bases = _base_specifiers(toks, bases_lo, k)
         self.model.add_class(ci)
         self.scopes.append(_Scope("class", name, ci))
         return k + 1
@@ -796,3 +799,52 @@ def iter_string_literals(toks, lo, hi):
             q = raw.find('"')
             if q >= 0 and raw.endswith('"') and len(raw) >= q + 2:
                 yield k, raw[q + 1:-1], toks[k].line
+
+
+def _split_top(toks, lo, hi):
+    """[(lo, hi)] pieces of toks[lo:hi] split at commas outside <>/()."""
+    pieces = []
+    depth = 0
+    start = lo
+    for k in range(lo, hi):
+        t = toks[k].text
+        if t in ("<", "("):
+            depth += 1
+        elif t in (">", ")"):
+            depth -= 1
+        elif t == ">>":
+            depth -= 2
+        elif t == "," and depth == 0:
+            pieces.append((start, k))
+            start = k + 1
+    if start < hi:
+        pieces.append((start, hi))
+    return pieces
+
+
+_BASE_NOISE = frozenset({"public", "protected", "private", "virtual"})
+
+
+def _base_specifiers(toks, lo, hi):
+    """`public ns::Base<A, B>, Other` -> [('Base', ['A', 'B']), ...]:
+    each base's simple name and its template argument spellings."""
+    out = []
+    for plo, phi in _split_top(toks, lo, hi):
+        name = None
+        args = []
+        k = plo
+        while k < phi:
+            t = toks[k]
+            if t.text == "<":
+                close = match_angle(toks, k)
+                if close < 0 or close >= phi:
+                    break
+                args = [" ".join(x.text for x in toks[a:b])
+                        for a, b in _split_top(toks, k + 1, close)]
+                break
+            if t.kind == "id" and t.text not in _BASE_NOISE:
+                name = t.text
+            k += 1
+        if name is not None:
+            out.append((name, args))
+    return out

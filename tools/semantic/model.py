@@ -58,6 +58,10 @@ class ClassInfo:
         self.fields = {}                    # field name -> type base name
         self.field_lines = {}               # field name -> line
         self.field_types = {}               # field name -> full type text
+        self.bases = []                     # [(simple name, [targ text])]
+        # Bases found in the model, linked by Model.link_bases():
+        # [(ClassInfo, {base template param -> argument type base})].
+        self.base_links = []
 
     @property
     def qual(self):
@@ -68,7 +72,24 @@ class ClassInfo:
         self.members.setdefault(fn.name, []).append(fn)
 
     def member_names(self):
-        return set(self.members)
+        """Own members plus those of every base found in the model."""
+        names = set(self.members)
+        for base, _binding in self.base_links:
+            names |= base.member_names()
+        return names
+
+    def find_members(self, name):
+        """[(FunctionInfo, binding)] for member `name`: this class's own
+        definitions, else the nearest bases' with the base's template
+        parameters bound to the arguments this class passes
+        (`AdjacencyList : BasicStore<AdjacencyEdges>` binds EdgeSet)."""
+        if name in self.members:
+            return [(fn, {}) for fn in self.members[name]]
+        out = []
+        for base, binding in self.base_links:
+            for fn, inner in base.find_members(name):
+                out.append((fn, {**inner, **binding}))
+        return out
 
     def __repr__(self):
         return f"<class {self.qual}>"
@@ -203,6 +224,19 @@ class Model:
         ranked = sorted(cands, key=lambda ci: (
             ci.synthetic, not ci.file.rel.startswith("src/")))
         return ranked[0]
+
+    def link_bases(self):
+        """Resolve every class's recorded bases against the model."""
+        for cands in self.classes.values():
+            for ci in cands:
+                ci.base_links = []
+                for name, args in ci.bases:
+                    base = self.find_class(name)
+                    if base is None or base is ci:
+                        continue
+                    binding = {p: type_base(a) for p, a in
+                               zip(base.template_params, args)}
+                    ci.base_links.append((base, binding))
 
     def src_functions(self):
         return [f for f in self.functions if f.file.rel.startswith("src/")]

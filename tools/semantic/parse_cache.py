@@ -189,6 +189,7 @@ def build_model(root, config, frontend="auto", compile_commands=None,
                 _merge(model, pickle.loads(blob))
             else:
                 _merge(model, _parse_fragment(root, rel))
+    model.link_bases()
     model.parse_stats = {
         "files": len(files),
         "seconds": round(time.monotonic() - t0, 3),

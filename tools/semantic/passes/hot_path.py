@@ -2,14 +2,15 @@
 
 Walks from the [hot_paths] roots in layers.toml through the call graph,
 resolving member calls through the *types* of their receivers (an `auto&`
-local bound to a container element takes the element type) and
-namespace- or class-qualified calls through their qualifier.  When a
-receiver's type is a template parameter that stands for a graph-store
-backend (engine.cc's explicit instantiations, or the configured backend
-list for uninstantiated kernels), the walk forks once per backend,
-`if constexpr (requires ...)` branches are pruned against that backend's
-real member surface, and every finding names the backend whose
-instantiation reaches it.
+local bound to a container element takes the element type; a member
+found in a class template base binds that base's parameters to the
+derived class's arguments) and namespace- or class-qualified calls
+through their qualifier.  When a receiver's type is a template
+parameter that stands for a graph-store backend (engine.cc's explicit
+instantiations, or the configured backend list for uninstantiated
+kernels), the walk forks once per backend, `if constexpr (requires ...)`
+branches are pruned against that backend's real member surface, and
+every finding names the backend whose instantiation reaches it.
 
 Rules: hot-path-alloc, hot-path-block and hot-path-throw; hot-path-virtual
 (virtual dispatch on the hot path — this repo keeps its kernels
@@ -217,8 +218,8 @@ def _dead_ranges(fn, binding, backends):
             if br.receiver is not None else None
         if cname is None or cname not in backends:
             continue
-        has = all(p in backends[cname].members or
-                  p in backends[cname].fields
+        surface = backends[cname].member_names()
+        has = all(p in surface or p in backends[cname].fields
                   for p in br.probes)
         taken_then = has != br.negated
         if taken_then:
@@ -313,10 +314,7 @@ def _resolve(model, fn, binding, call):
     cname = _receiver_class_name(model, fn, binding, call.receiver)
     if cname is not None:
         ci = model.find_class(cname)
-        if ci is not None:
-            for tf in ci.members.get(call.name, ()):
-                out.append((tf, {}))
-        return out
+        return ci.find_members(call.name) if ci is not None else []
     if call.receiver is None and call.qualifier is not None:
         # `Class::member(...)` reaches the class's members;
         # `ns::free(...)` the src/ free functions of a namespace ending
@@ -324,7 +322,7 @@ def _resolve(model, fn, binding, call):
         # igs::stream).  std:: and other library calls match neither.
         ci = model.find_class(call.qualifier)
         if ci is not None:
-            return [(tf, {}) for tf in ci.members.get(call.name, ())]
+            return ci.find_members(call.name)
         for tf in model.by_name.get(call.name, ()):
             if tf.cls is None and tf.file.rel.startswith("src/") and \
                     (tf.namespace == call.qualifier or
@@ -332,10 +330,9 @@ def _resolve(model, fn, binding, call):
                 out.append((tf, {}))
         return out
     if call.receiver is None and call.qualifier is None:
-        if fn.cls is not None and call.name in fn.cls.members:
-            for tf in fn.cls.members[call.name]:
-                out.append((tf, dict(binding)))
-            return out
+        own = fn.cls.find_members(call.name) if fn.cls is not None else []
+        if own:
+            return [(tf, {**binding, **b}) for tf, b in own]
         for tf in model.by_name.get(call.name, ()):
             if tf.file.rel.startswith("src/") and tf.body is not None:
                 new_binding = {}
