@@ -2,14 +2,13 @@
  * @file
  * Google-benchmark micro-benchmarks for the library's hot primitives:
  * batch reordering (parallel stable sort + run index), adjacency-list
- * mutation, the concurrent hash map, the generator, and the cache/NoC
+ * mutation, the generator, and the cache/NoC
  * models.  These measure host wall time (unlike the figure harnesses,
  * which report simulated cycles).
  */
 #include <benchmark/benchmark.h>
 
 #include "bench_support.h"
-#include "common/concurrent_hash_map.h"
 #include "common/parallel_sort.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -108,25 +107,6 @@ BM_DegreeAwareHashInsert(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_DegreeAwareHashInsert);
-
-void
-BM_ConcurrentHashMapUpdate(benchmark::State& state)
-{
-    Rng rng(3);
-    std::vector<std::uint32_t> keys(100000);
-    for (auto& k : keys) {
-        k = static_cast<std::uint32_t>(rng.below(50000));
-    }
-    for (auto _ : state) {
-        ConcurrentHashMap<std::uint32_t, std::uint32_t> map(keys.size());
-        for (auto k : keys) {
-            map.update(k, [](std::uint32_t& v) { ++v; });
-        }
-        benchmark::DoNotOptimize(map.size());
-    }
-    state.SetItemsProcessed(state.iterations() * keys.size());
-}
-BENCHMARK(BM_ConcurrentHashMapUpdate);
 
 void
 BM_EdgeStreamGenerate(benchmark::State& state)

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "common/concurrent_hash_map.h"
-#include "common/thread_pool.h"
+#include "stream/batch.h"
 
 namespace igs::core {
 
@@ -49,28 +48,15 @@ CadResult
 cad_from_batch(std::span<const StreamEdge> edges, std::uint32_t lambda)
 {
     // The paper populates an Intel-TBB concurrent hash map from the update
-    // threads; we use our sharded map the same way (parallel accumulate,
-    // then a single-threaded sweep).
-    ConcurrentHashMap<VertexId, std::uint32_t> out_deg(edges.size());
-    ConcurrentHashMap<VertexId, std::uint32_t> in_deg(edges.size());
-    default_pool().parallel_for(0, edges.size(), [&](std::size_t i) {
-        out_deg.update(edges[i].src, [](std::uint32_t& d) { ++d; });
-        in_deg.update(edges[i].dst, [](std::uint32_t& d) { ++d; });
-    });
-
+    // threads.  The host counts the same per-vertex degrees serially on
+    // the calling thread; the model still charges the concurrent map
+    // (AbrParams::instr_cycles_per_edge_hashed).
+    const stream::BatchDegreeStats s = stream::compute_batch_degree_stats(edges);
     CadResult r;
-    Histogram out_h;
-    out_deg.for_each([&](VertexId, std::uint32_t d) {
-        out_h.add(d);
-        r.max_out_degree = std::max(r.max_out_degree, d);
-    });
-    Histogram in_h;
-    in_deg.for_each([&](VertexId, std::uint32_t d) {
-        in_h.add(d);
-        r.max_in_degree = std::max(r.max_in_degree, d);
-    });
-    r.cad_out = cad_from_histogram(out_h, edges.size(), lambda);
-    r.cad_in = cad_from_histogram(in_h, edges.size(), lambda);
+    r.max_out_degree = s.max_out_degree;
+    r.max_in_degree = s.max_in_degree;
+    r.cad_out = cad_from_histogram(s.out_degree_histogram, edges.size(), lambda);
+    r.cad_in = cad_from_histogram(s.in_degree_histogram, edges.size(), lambda);
     return r;
 }
 

@@ -59,9 +59,10 @@ CadResult cad_from_reordered(const stream::ReorderedBatch& rb,
                              std::uint32_t lambda);
 
 /**
- * CAD via the concurrent-hash-map instrumentation path (paper pseudocode,
+ * CAD via the hash-map instrumentation path (paper pseudocode,
  * `reordering == false` branch): per-vertex degrees are accumulated from
- * the raw batch.
+ * the raw batch (stream::compute_batch_degree_stats, on the calling
+ * thread).
  */
 CadResult cad_from_batch(std::span<const StreamEdge> edges,
                          std::uint32_t lambda);

@@ -397,24 +397,12 @@ template class BasicRealTimeEngine<graph::HybridStore>;
 
 namespace {
 
-/** Forwarding visitor; the monostate alternative only exists during
- *  AnyRealTimeEngine construction and is never observable afterwards. */
+/** Forward `fn` to the constructed engine. */
 template <typename Variant, typename Fn>
 decltype(auto)
 with_engine(Variant& v, Fn&& fn)
 {
-    return std::visit(
-        [&](auto& e) -> decltype(auto) {
-            if constexpr (std::is_same_v<std::decay_t<decltype(e)>,
-                                         std::monostate>) {
-                IGS_CHECK_MSG(false, "AnyRealTimeEngine not constructed");
-                // Unreachable; satisfies the common-return-type deduction.
-                return fn(*static_cast<RealTimeEngine*>(nullptr));
-            } else {
-                return fn(e);
-            }
-        },
-        v);
+    return std::visit([&](auto& e) -> decltype(auto) { return fn(e); }, v);
 }
 
 } // namespace
@@ -422,15 +410,15 @@ with_engine(Variant& v, Fn&& fn)
 AnyRealTimeEngine::AnyRealTimeEngine(const EngineConfig& config,
                                      std::size_t num_vertices,
                                      ThreadPool& pool)
-    : backend_(config.graph_backend)
+    // The engines are immovable (atomics, a joinable thread).  Both arms
+    // are prvalues, so C++17 guaranteed elision constructs the chosen
+    // alternative in place, with no move.
+    : engine_(config.graph_backend == GraphBackend::kHybrid
+                  ? Engines(std::in_place_type<HybridRealTimeEngine>, config,
+                            num_vertices, pool)
+                  : Engines(std::in_place_type<RealTimeEngine>, config,
+                            num_vertices, pool))
 {
-    // The engines are immovable (atomics, a joinable thread), so the
-    // variant alternative is constructed in place.
-    if (backend_ == GraphBackend::kHybrid) {
-        engine_.emplace<HybridRealTimeEngine>(config, num_vertices, pool);
-    } else {
-        engine_.emplace<RealTimeEngine>(config, num_vertices, pool);
-    }
 }
 
 BatchReport

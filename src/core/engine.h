@@ -331,7 +331,13 @@ class AnyRealTimeEngine {
     AnyRealTimeEngine(const EngineConfig& config, std::size_t num_vertices,
                       ThreadPool& pool = default_pool());
 
-    GraphBackend backend() const { return backend_; }
+    GraphBackend
+    backend() const
+    {
+        return std::holds_alternative<HybridRealTimeEngine>(engine_)
+                   ? GraphBackend::kHybrid
+                   : GraphBackend::kAdjacencyList;
+    }
 
     BatchReport ingest(const stream::EdgeBatch& batch);
     bool compute_due() const;
@@ -359,11 +365,9 @@ class AnyRealTimeEngine {
     }
 
   private:
-    /** Monostate only during construction: the engines are neither
-     *  movable nor copyable, so the variant is filled via emplace. */
-    std::variant<std::monostate, RealTimeEngine, HybridRealTimeEngine>
-        engine_;
-    GraphBackend backend_;
+    using Engines = std::variant<RealTimeEngine, HybridRealTimeEngine>;
+
+    Engines engine_;
 };
 
 } // namespace igs::core

@@ -1,13 +1,14 @@
 /**
  * @file
- * BasicStore — the one dynamic-graph skeleton every live store shares.
+ * BasicStore — the one dynamic-graph skeleton every store shares.
  *
  * The paper's engine updates one adjacency structure (SAGA-Bench's AS, with
  * DAH as the §6.2.3 alternative) and adds two per-vertex fields to it: the
  * `latest_bid` OCA reads (§5) and a per-vertex lock for the baseline update
- * path.  What differs between AdjacencyList, DegreeAwareHash and
- * HybridStore is only the per-vertex *edge set*; this template owns
- * everything else and implements each store operation once:
+ * path.  What differs between AdjacencyList, DegreeAwareHash, HybridStore
+ * and the simulator's IndexedAdjacency is only the per-vertex *edge set*;
+ * this template owns everything else and implements each store operation
+ * once:
  *
  *  - the out/in edge-set arrays, one SpinlockArray per direction, the
  *    latest-bid array, the epoch token, the logical/physical VertexIdMap,

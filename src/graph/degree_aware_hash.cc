@@ -1,5 +1,7 @@
 #include "graph/degree_aware_hash.h"
 
+#include "graph/position_index.h"
+
 namespace igs::graph {
 
 ApplyResult
@@ -103,10 +105,7 @@ DahEdgeSet::remove(VertexId nbr_id)
 void
 DahEdgeSet::migrate_to_hash()
 {
-    std::size_t cap = 16;
-    while (cap * 3 < static_cast<std::size_t>(count_) * 4 * 2) {
-        cap <<= 1;
-    }
+    const std::size_t cap = initial_slots(count_);
     table_.assign(cap, Slot{});
     const std::size_t mask = cap - 1;
     for (const Neighbor& n : array_) {

@@ -155,18 +155,6 @@ class DahEdgeSet {
     void grow_table();
     ApplyResult hash_insert(Neighbor nbr);
 
-    static std::uint64_t
-    hash_id(VertexId id)
-    {
-        std::uint64_t x = id;
-        x ^= x >> 16;
-        x *= 0x7feb352dull;
-        x ^= x >> 15;
-        x *= 0x846ca68bull;
-        x ^= x >> 16;
-        return x;
-    }
-
     std::vector<Neighbor> array_;
     std::vector<Slot> table_; // empty until migrated
     std::uint32_t count_ = 0;

@@ -15,10 +15,10 @@
  * `epoch()` names the publication it was copied at.  Consumers can assert
  * they are computing on the epoch they were handed.
  *
- * Implementations: the live, mutable stores graph::AdjacencyList,
- * graph::DegreeAwareHash and graph::HybridStore (each a graph::BasicStore,
- * checked by a static_assert in its header) and the simulator's
- * graph::IndexedAdjacency; and graph::SnapshotView (immutable,
+ * Implementations: the mutable stores graph::AdjacencyList,
+ * graph::DegreeAwareHash, graph::HybridStore and the simulator's
+ * graph::IndexedAdjacency (each a graph::BasicStore, checked by a
+ * static_assert in its header); and graph::SnapshotView (immutable,
  * copy-on-publish).
  */
 #ifndef IGS_GRAPH_GRAPH_STORE_H

@@ -1,7 +1,6 @@
 #include "graph/hybrid_store.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/telemetry.h"
 
@@ -134,29 +133,18 @@ HybridEdgeSet::hash_insert(Neighbor nbr)
 {
     ApplyResult r;
     r.len_before = count_;
-    if ((count_ + 1) * 4 >= index_.size() * 3) {
-        grow_index();
+    index_.reserve_one(heap_);
+    const PositionIndex::Lookup hit = index_.find(heap_, nbr.id);
+    r.probes = hit.probes;
+    if (hit.found) {
+        heap_[hit.pos].weight += nbr.weight;
+        r.found = true;
+        return r;
     }
-    const std::size_t mask = index_.size() - 1;
-    std::size_t i = hash_id(nbr.id) & mask;
-    while (index_[i] != 0) {
-        ++r.probes;
-        Neighbor& n = heap_[index_[i] - 1];
-        if (n.id == nbr.id) {
-            n.weight += nbr.weight;
-            r.found = true;
-            return r;
-        }
-        i = (i + 1) & mask;
-    }
+    // The miss also examined the empty slot the append fills.
     ++r.probes;
     // igs-lint: allow(hot-path-alloc) -- amortized dense-array growth
-    heap_.push_back(nbr);
-    // The hash index stores 1-based uint32 slots into the dense array;
-    // a per-vertex edge set past 2^32-1 entries would silently alias.
-    IGS_DCHECK(heap_.size() <=
-               std::numeric_limits<std::uint32_t>::max());
-    index_[i] = static_cast<std::uint32_t>(heap_.size());
+    index_.append(heap_, hit, nbr);
     ++count_;
     return r;
 }
@@ -213,44 +201,12 @@ HybridEdgeSet::hash_remove(VertexId nbr_id)
 {
     ApplyResult r;
     r.len_before = count_;
-    const std::size_t mask = index_.size() - 1;
-    std::size_t i = hash_id(nbr_id) & mask;
-    while (index_[i] != 0) {
-        ++r.probes;
-        const std::uint32_t pos = index_[i] - 1;
-        if (heap_[pos].id == nbr_id) {
-            r.found = true;
-            // 1. Backshift-delete the index slot (keeps probe sequences
-            //    valid without tombstones; same idiom as DahEdgeSet).
-            std::size_t hole = i;
-            std::size_t j = (i + 1) & mask;
-            while (index_[j] != 0) {
-                const std::size_t home =
-                    hash_id(heap_[index_[j] - 1].id) & mask;
-                if (((j - home) & mask) >= ((j - hole) & mask)) {
-                    index_[hole] = index_[j];
-                    hole = j;
-                }
-                j = (j + 1) & mask;
-            }
-            index_[hole] = 0;
-            // 2. Swap-with-last in the dense array, repointing the moved
-            //    element's index slot at its new position.
-            const std::uint32_t last = count_ - 1;
-            if (pos != last) {
-                heap_[pos] = heap_[last];
-                std::size_t k = hash_id(heap_[pos].id) & mask;
-                while (index_[k] != last + 1) {
-                    IGS_DCHECK(index_[k] != 0);
-                    k = (k + 1) & mask;
-                }
-                index_[k] = pos + 1;
-            }
-            heap_.pop_back();
-            --count_;
-            return r;
-        }
-        i = (i + 1) & mask;
+    const PositionIndex::Lookup hit = index_.find(heap_, nbr_id);
+    r.probes = hit.probes;
+    if (hit.found) {
+        index_.swap_remove(heap_, hit);
+        --count_;
+        r.found = true;
     }
     return r;
 }
@@ -267,36 +223,8 @@ HybridEdgeSet::promote_to_sorted()
 void
 HybridEdgeSet::promote_to_hash()
 {
-    std::size_t cap = 16;
-    while (cap * 3 < static_cast<std::size_t>(count_) * 4 * 2) {
-        cap <<= 1;
-    }
-    index_.assign(cap, 0);
-    const std::size_t mask = cap - 1;
-    for (std::uint32_t p = 0; p < count_; ++p) {
-        std::size_t i = hash_id(heap_[p].id) & mask;
-        while (index_[i] != 0) {
-            i = (i + 1) & mask;
-        }
-        index_[i] = p + 1;
-    }
+    index_.build(heap_);
     tier_ = kHashed;
-}
-
-void
-HybridEdgeSet::grow_index()
-{
-    // Positions are derivable from the dense array, so growth is a
-    // rebuild rather than a rehash of the old slots.
-    index_.assign(index_.size() * 2, 0);
-    const std::size_t mask = index_.size() - 1;
-    for (std::uint32_t p = 0; p < count_; ++p) {
-        std::size_t i = hash_id(heap_[p].id) & mask;
-        while (index_[i] != 0) {
-            i = (i + 1) & mask;
-        }
-        index_[i] = p + 1;
-    }
 }
 
 // ------------------------------------------------------------------- store

@@ -43,6 +43,7 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "graph/basic_store.h"
+#include "graph/position_index.h"
 #include "graph/store_tuning.h"
 
 namespace igs::graph {
@@ -109,28 +110,14 @@ class HybridEdgeSet {
     ApplyResult erase(VertexId nbr_id);
     void promote_to_sorted();
     void promote_to_hash();
-    /** Double the hash index and rebuild it from the dense array. */
-    void grow_index();
     ApplyResult hash_insert(Neighbor nbr);
     ApplyResult hash_remove(VertexId nbr_id);
-
-    static std::uint64_t
-    hash_id(VertexId id)
-    {
-        std::uint64_t x = id;
-        x ^= x >> 16;
-        x *= 0x7feb352dull;
-        x ^= x >> 15;
-        x *= 0x846ca68bull;
-        x ^= x >> 16;
-        return x;
-    }
 
     Neighbor inline_[kInlineCapacity] = {};
     /** Tier 1: sorted by id.  Tier 2: dense, append order. */
     std::vector<Neighbor> heap_;
-    /** Tier 2 only: open-addressed slots holding position+1 (0 = empty). */
-    std::vector<std::uint32_t> index_;
+    /** Tier 2 only: neighbor id -> position in `heap_`. */
+    PositionIndex index_;
     std::uint32_t count_ = 0;
     std::uint8_t tier_ = kInline;
 };

@@ -88,8 +88,9 @@ struct BatchDegreeStats {
 };
 
 /**
- * Compute full degree statistics of a batch (characterization/bench path;
- * the online ABR metric in src/core is the cheap alternative).
+ * Compute full degree statistics of a batch, serially on the calling
+ * thread (characterization benches, and ABR's CAD for a batch that is not
+ * reordered: core::cad_from_batch).
  */
 BatchDegreeStats compute_batch_degree_stats(std::span<const StreamEdge> edges);
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG, stats, sync primitives,
- * thread pool, parallel sort, and the concurrent hash map.
+ * thread pool and parallel sort.
  */
 #include <algorithm>
 #include <atomic>
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/concurrent_hash_map.h"
 #include "common/parallel_sort.h"
 #include "common/random.h"
 #include "common/spinlock.h"
@@ -292,59 +291,6 @@ TEST_P(ParallelSortTest, MatchesStdStableSort)
 INSTANTIATE_TEST_SUITE_P(Sizes, ParallelSortTest,
                          ::testing::Values(0, 1, 2, 100, 8192, 8193, 50000,
                                            131072));
-
-// ------------------------------------------------- concurrent hash map
-TEST(ConcurrentHashMap, UpdateAndFind)
-{
-    ConcurrentHashMap<std::uint32_t, std::uint32_t> map(16);
-    map.update(5, [](std::uint32_t& v) { v += 3; });
-    map.update(5, [](std::uint32_t& v) { v += 4; });
-    map.update(9, [](std::uint32_t& v) { v = 1; });
-    ASSERT_NE(map.find(5), nullptr);
-    EXPECT_EQ(*map.find(5), 7u);
-    EXPECT_EQ(*map.find(9), 1u);
-    EXPECT_EQ(map.find(6), nullptr);
-    EXPECT_EQ(map.size(), 2u);
-}
-
-TEST(ConcurrentHashMap, GrowsBeyondInitialCapacity)
-{
-    ConcurrentHashMap<std::uint32_t, std::uint32_t> map(4, 2);
-    for (std::uint32_t k = 0; k < 5000; ++k) {
-        map.update(k, [](std::uint32_t& v) { ++v; });
-    }
-    EXPECT_EQ(map.size(), 5000u);
-    for (std::uint32_t k = 0; k < 5000; ++k) {
-        ASSERT_NE(map.find(k), nullptr);
-        ASSERT_EQ(*map.find(k), 1u);
-    }
-}
-
-TEST(ConcurrentHashMap, ConcurrentAccumulationIsExact)
-{
-    ConcurrentHashMap<std::uint32_t, std::uint64_t> map(1024);
-    ThreadPool pool(4);
-    constexpr std::size_t kOps = 100000;
-    pool.parallel_for(0, kOps, [&](std::size_t i) {
-        map.update(static_cast<std::uint32_t>(i % 257),
-                   [](std::uint64_t& v) { ++v; });
-    });
-    std::uint64_t total = 0;
-    map.for_each([&](std::uint32_t, std::uint64_t v) { total += v; });
-    EXPECT_EQ(total, kOps);
-    EXPECT_EQ(map.size(), 257u);
-}
-
-TEST(ConcurrentHashMap, ClearKeepsWorking)
-{
-    ConcurrentHashMap<std::uint32_t, std::uint32_t> map(16);
-    map.update(1, [](std::uint32_t& v) { v = 7; });
-    map.clear();
-    EXPECT_EQ(map.size(), 0u);
-    EXPECT_EQ(map.find(1), nullptr);
-    map.update(1, [](std::uint32_t& v) { v += 2; });
-    EXPECT_EQ(*map.find(1), 2u);
-}
 
 } // namespace
 } // namespace igs

@@ -2,10 +2,10 @@
  * @file
  * Concurrency stress tests — the TSan leg's primary workload
  * (tools/check_matrix.sh tsan) and the runtime half of the static
- * thread-safety story: ConcurrentHashMap under write contention, the
- * per-vertex Spinlock path of the baseline updater from N real threads,
- * ThreadPool fork/join handshakes, and the debug-mode Spinlock owner
- * assertion (double unlock must trip IGS_CHECK, not corrupt state).
+ * thread-safety story: the per-vertex Spinlock path of the baseline
+ * updater from N real threads, ThreadPool fork/join handshakes, and the
+ * debug-mode Spinlock owner assertion (double unlock must trip IGS_CHECK,
+ * not corrupt state).
  */
 #include <atomic>
 #include <cstdint>
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/concurrent_hash_map.h"
 #include "common/spinlock.h"
 #include "common/thread_pool.h"
 #include "gen/edge_stream.h"
@@ -44,42 +43,6 @@ on_threads(std::size_t n, Fn&& fn)
     for (auto& th : threads) {
         th.join();
     }
-}
-
-// ----------------------------------------------------- ConcurrentHashMap
-
-TEST(ConcurrencyHashMap, ParallelUpdatesSumExactly)
-{
-    constexpr std::size_t kOpsPerThread = 20000;
-    constexpr std::uint64_t kKeys = 512;
-    ConcurrentHashMap<std::uint64_t, std::uint64_t> map(kKeys);
-
-    on_threads(kThreads, [&](std::size_t t) {
-        for (std::size_t i = 0; i < kOpsPerThread; ++i) {
-            const std::uint64_t key = (t * 7919 + i * 31) % kKeys;
-            map.update(key, [](std::uint64_t& v) { ++v; });
-        }
-    });
-
-    std::uint64_t total = 0;
-    map.for_each([&](std::uint64_t, std::uint64_t v) { total += v; });
-    EXPECT_EQ(total, kThreads * kOpsPerThread);
-    EXPECT_EQ(map.size(), kKeys);
-}
-
-TEST(ConcurrencyHashMap, SingleShardContentionAndGrowth)
-{
-    // One shard serializes every writer on one Spinlock, and the tiny
-    // initial capacity forces grow() to run under contention.
-    ConcurrentHashMap<std::uint64_t, std::uint64_t> map(/*expected_size=*/4,
-                                                        /*shards=*/1);
-    constexpr std::size_t kOpsPerThread = 4000;
-    on_threads(kThreads, [&](std::size_t t) {
-        for (std::size_t i = 0; i < kOpsPerThread; ++i) {
-            map.update(t * kOpsPerThread + i, [](std::uint64_t& v) { ++v; });
-        }
-    });
-    EXPECT_EQ(map.size(), kThreads * kOpsPerThread);
 }
 
 // --------------------------------------------------------------- Spinlock

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the dynamic graph structures: AdjacencyList, DegreeAwareHash,
- * IndexedAdjacency, and the CSR snapshot — including randomized
- * cross-structure equivalence properties.
+ * Tests for the dynamic graph structures: AdjacencyList, DegreeAwareHash
+ * and IndexedAdjacency — including randomized cross-structure equivalence
+ * properties.
  */
 #include <algorithm>
 #include <map>
@@ -195,14 +195,24 @@ class IndexedEquivalenceTest : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
+/** Seeds from here up run the hub-heavy stream. */
+constexpr std::uint64_t kHubSeeds = 100;
+
 TEST_P(IndexedEquivalenceTest, StateMatchesAdjacencyListWithDeletes)
 {
+    // Uniform seeds draw pairs over 64 vertices.  Hub seeds send half the
+    // operations to vertex 0 with neighbors from a 1024-id space, so its
+    // position index doubles several times while removes (which swap the
+    // last edge into the hole) are interleaved.
+    const bool hub_heavy = GetParam() >= kHubSeeds;
     Rng rng(GetParam());
     IndexedAdjacency g(64);
     AdjacencyList ref(64);
     for (int i = 0; i < 5000; ++i) {
-        const auto s = static_cast<VertexId>(rng.below(64));
-        const auto t = static_cast<VertexId>(rng.below(64));
+        const bool to_hub = hub_heavy && rng.chance(0.5);
+        const auto s = to_hub ? VertexId{0}
+                              : static_cast<VertexId>(rng.below(64));
+        const auto t = static_cast<VertexId>(rng.below(to_hub ? 1024 : 64));
         for (auto dir : {Direction::kOut, Direction::kIn}) {
             // Both structures swap-remove, so the modeled probe count
             // and length match the real scan on every operation.
@@ -224,10 +234,17 @@ TEST_P(IndexedEquivalenceTest, StateMatchesAdjacencyListWithDeletes)
     }
     EXPECT_TRUE(same_topology(g, ref));
     EXPECT_EQ(g.num_edges(), ref.num_edges());
+    if (hub_heavy) {
+        // Past 256 entries the index has doubled from 4 slots to 512.
+        EXPECT_GT(g.degree(0, Direction::kOut), 256u);
+        EXPECT_GT(g.degree(0, Direction::kIn), 256u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexedEquivalenceTest,
-                         ::testing::Values(11, 12, 13, 14, 15, 16));
+                         ::testing::Values(11, 12, 13, 14, 15, 16,
+                                           kHubSeeds + 1, kHubSeeds + 2,
+                                           kHubSeeds + 3));
 
 TEST(IndexedAdjacency, RemoveFixesMovedIndexEntry)
 {
@@ -235,11 +252,14 @@ TEST(IndexedAdjacency, RemoveFixesMovedIndexEntry)
     g.apply_insert(0, {1, 1.0f}, Direction::kOut);
     g.apply_insert(0, {2, 1.0f}, Direction::kOut);
     g.apply_insert(0, {3, 1.0f}, Direction::kOut);
-    // Removing the first entry swaps 3 into its slot; 3 must stay findable.
+    // Removing the first entry swaps 3 into its slot; 3 must stay findable
+    // there, and the hit must accumulate into the live edge.
     g.apply_remove(0, 1, Direction::kOut);
     const auto r = g.apply_insert(0, {3, 2.0f}, Direction::kOut);
     EXPECT_TRUE(r.found);
+    EXPECT_EQ(r.probes, 1u);
     EXPECT_EQ(g.degree(0, Direction::kOut), 2u);
+    EXPECT_EQ(g.edges(0, Direction::kOut)[0], (Neighbor{3, 3.0f}));
 }
 
 } // namespace
@@ -249,20 +269,6 @@ TEST(IndexedAdjacency, RemoveFixesMovedIndexEntry)
 // invariants and argument-validation death tests.
 namespace igs::graph {
 namespace {
-
-TEST(IndexedAdjacency, EnsureVerticesPreservesBidsAndEdges)
-{
-    IndexedAdjacency g(4);
-    g.apply_insert(0, {1, 1.0f}, Direction::kOut);
-    g.exchange_latest_bid(2, 9);
-    g.ensure_vertices(1000);
-    EXPECT_EQ(g.num_vertices(), 1000u);
-    EXPECT_EQ(g.degree(0, Direction::kOut), 1u);
-    EXPECT_EQ(g.latest_bid(2), 9u);
-    // The index still finds the pre-growth edge.
-    const auto r = g.apply_insert(0, {1, 2.0f}, Direction::kOut);
-    EXPECT_TRUE(r.found);
-}
 
 TEST(AdjacencyList, MoveTransfersState)
 {

@@ -3,8 +3,8 @@
  * Tests for the three-tier hybrid adjacency store (DESIGN.md §12): tier
  * transitions and promotion bookkeeping, hash-tier backshift deletion,
  * randomized equivalence against a reference model, cross-backend
- * equivalence of AdjacencyList / DegreeAwareHash / HybridStore under
- * mixed insert/delete schedules (including across tier-promotion
+ * equivalence of AdjacencyList / DegreeAwareHash / HybridStore /
+ * IndexedAdjacency under mixed insert/delete schedules (including across tier-promotion
  * boundaries), analytics equality, and the backend-selectable real-time
  * engine (AnyRealTimeEngine, pipeline mode included).
  */
@@ -25,6 +25,7 @@
 #include "graph/adjacency_list.h"
 #include "graph/degree_aware_hash.h"
 #include "graph/hybrid_store.h"
+#include "graph/indexed_adjacency.h"
 #include "graph/store_tuning.h"
 #include "stream/batch.h"
 
@@ -229,10 +230,11 @@ TYPED_TEST(CoalescedApply, ApplyCoalescedMatchesIndividualInserts)
     EXPECT_EQ(coalesced.degree(1, kIn), 1u);
 }
 
-/** All three stores: growth, epochs and moves come from BasicStore. */
+/** Every store: growth, epochs and moves come from BasicStore. */
 template <typename Store>
 class StoreSkeleton : public ::testing::Test {};
-using AllStores = ::testing::Types<AdjacencyList, DegreeAwareHash, HybridStore>;
+using AllStores = ::testing::Types<AdjacencyList, DegreeAwareHash, HybridStore,
+                                   IndexedAdjacency>;
 TYPED_TEST_SUITE(StoreSkeleton, AllStores);
 
 TYPED_TEST(StoreSkeleton, GrowthEpochAndMoveKeepState)
@@ -256,6 +258,9 @@ TYPED_TEST(StoreSkeleton, GrowthEpochAndMoveKeepState)
     EXPECT_EQ(g.latest_bid(3), 7u);
     EXPECT_EQ(g.latest_bid(99), 0u);
     EXPECT_EQ(g.epoch(), 1u);
+    // Every duplicate check survives growth: re-inserting finds the edge.
+    EXPECT_TRUE(g.apply_insert(0, {100, 0.0f}, kOut).found);
+    EXPECT_EQ(g.num_edges(), 40u);
 
     TypeParam moved(std::move(g));
     EXPECT_EQ(moved.num_vertices(), 100u);
@@ -337,7 +342,8 @@ TEST(CrossBackendEquivalence, IdenticalStateUnderMixedSchedules)
         AdjacencyList as(300);
         DegreeAwareHash dah(300, tuning);
         HybridStore hybrid(300, tuning);
-        // Same engine-wide schedule on all three: the batch's insertions
+        IndexedAdjacency indexed(300);
+        // Same engine-wide schedule on all four: the batch's insertions
         // first, then its deletions.
         const auto apply_all = [&edges](auto& g) {
             for (const StreamEdge& e : edges) {
@@ -356,14 +362,19 @@ TEST(CrossBackendEquivalence, IdenticalStateUnderMixedSchedules)
         apply_all(as);
         apply_all(dah);
         apply_all(hybrid);
+        apply_all(indexed);
 
         EXPECT_EQ(hybrid.num_edges(), as.num_edges());
         EXPECT_EQ(dah.num_edges(), as.num_edges());
+        EXPECT_EQ(indexed.num_edges(), as.num_edges());
         EXPECT_TRUE(same_topology(hybrid, as));
         EXPECT_TRUE(same_topology(hybrid, dah));
-        // Identical application order -> bitwise-identical weights.
+        // Identical application order -> bitwise-identical weights.  The
+        // simulator's store also keeps AdjacencyList's edge order.
         for (VertexId v = 0; v < 300; ++v) {
             for (Direction dir : {kOut, kIn}) {
+                ASSERT_TRUE(std::ranges::equal(as.edges(v, dir),
+                                               indexed.edges(v, dir)));
                 const auto ea = as.sorted_edges(v, dir);
                 const auto eh = hybrid.sorted_edges(v, dir);
                 ASSERT_EQ(ea.size(), eh.size());
