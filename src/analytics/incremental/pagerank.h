@@ -14,18 +14,25 @@
  * tolerance (the randomized equivalence harness in
  * tests/test_incremental.cc pins this on all three backends).
  *
+ * The delta round sweeps its frontier in place, in ascending vertex id
+ * order over a word bitmap, and pulls memoized contributions
+ * (rank / out-degree, Ingress-style) instead of dividing at every pull.
+ * The full rerun stays a Jacobi iteration with static_pagerank's
+ * arithmetic.
+ *
  * Callers without a converged state for the current vertex space run
  * full_rerun first; on a graph that starts empty that is cheap, and every
  * later round is a delta round (tests/test_analytics.cc pins this path).
  *
- * Deletion-safe by construction: rank pulls are recomputed from the
- * current topology, so a deleted edge simply stops contributing the
- * next time its endpoint is activated — and both endpoints of every
- * deleted edge are in the dirty set.
+ * Deletion-safe by construction: both endpoints of every changed edge
+ * are in the dirty set, so a round refreshes the dirty vertices'
+ * contributions for their new out-degrees and re-pulls every vertex
+ * whose in-edges changed from the current topology.
  */
 #ifndef IGS_ANALYTICS_INCREMENTAL_PAGERANK_H
 #define IGS_ANALYTICS_INCREMENTAL_PAGERANK_H
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -50,12 +57,17 @@ class PageRank {
     bool warm() const { return state_.warm; }
     const PageRankParams& params() const { return params_; }
 
+    /** Cap the iterations of later rounds.  The memo state is kept, so
+     *  a delta round after a capped one resumes its leftover frontier. */
+    void set_max_iterations(std::uint32_t cap) { params_.max_iterations = cap; }
+
     /**
      * Recompute every rank from scratch (pull-based Jacobi, the
      * static_pagerank iteration) into the memo state.  Used for cold
      * starts, vertex-space growth (the (1-d)/|V| base term shifts for
      * *every* vertex when |V| changes, so no delta is valid), and
-     * epochs the policy sends to full rerun.
+     * epochs the policy sends to full rerun.  Drops any leftover delta
+     * frontier: every rank is recomputed.
      */
     template <typename Graph>
         requires graph::GraphReadPath<Graph>
@@ -68,48 +80,52 @@ class PageRank {
         const ComputeStats before = meter->stats();
         const std::size_t n = g.num_vertices();
         const double init = n == 0 ? 0.0 : 1.0 / static_cast<double>(n);
-        state_.rank.assign(n, init);
-        state_.in_frontier.ensure(n);
+        RankState& s = state_;
+        s.rank.assign(n, init);
+        s.contrib.resize(n);
+        s.next.resize(n);
+        s.out_degree.resize(n);
+        s.frontier.assign(words(n), 0);
+        s.next_frontier.assign(words(n), 0);
+        s.warm = true;
         if (n == 0) {
-            state_.warm = true;
             return stats_delta(meter->stats(), before);
         }
+        for (VertexId v = 0; v < n; ++v) {
+            s.out_degree[v] = g.degree(v, Direction::kOut);
+        }
         const double base = (1.0 - params_.damping) / static_cast<double>(n);
-        std::vector<double> next(n, 0.0);
-        std::vector<double> contrib(n, 0.0);
         for (std::uint32_t it = 0; it < params_.max_iterations; ++it) {
             meter->iteration();
             double error = 0.0;
-            for (VertexId v = 0; v < n; ++v) {
-                const auto deg = g.degree(v, Direction::kOut);
-                contrib[v] = deg > 0 ? state_.rank[v] /
-                                           static_cast<double>(deg)
-                                     : 0.0;
-            }
+            refresh_contributions(n);
             for (VertexId v = 0; v < n; ++v) {
                 double sum = 0.0;
                 for (const Neighbor& u : g.edges(v, Direction::kIn)) {
-                    sum += contrib[u.id];
+                    sum += s.contrib[u.id];
                 }
                 meter->activate();
                 meter->traverse(g.degree(v, Direction::kIn));
-                next[v] = base + params_.damping * sum;
-                error += std::abs(next[v] - state_.rank[v]);
+                s.next[v] = base + params_.damping * sum;
+                error += std::abs(s.next[v] - s.rank[v]);
             }
-            state_.rank.swap(next);
+            s.rank.swap(s.next);
             if (error < params_.tolerance) {
                 break;
             }
         }
-        state_.warm = true;
+        // The memo the delta round pulls: contributions of the final
+        // ranks, not of the last iterate's input.
+        refresh_contributions(n);
         return stats_delta(meter->stats(), before);
     }
 
     /**
      * One delta round: seed the frontier with the epoch's dirty set plus
-     * its out-neighborhood, then pull-recompute ranks outward until every
-     * residual falls below the per-vertex tolerance.  Falls back to
-     * full_rerun when cold or when the vertex space changed.
+     * its out-neighborhood (and any frontier a capped round left), then
+     * sweep it in ascending id order, updating ranks and contributions in
+     * place, until every residual falls below the per-vertex tolerance.
+     * Falls back to full_rerun when cold or when the vertex space changed.
      */
     template <typename Graph>
     ComputeStats
@@ -128,60 +144,102 @@ class PageRank {
             return stats_delta(meter->stats(), before);
         }
         const double base = (1.0 - params_.damping) / static_cast<double>(n);
+        RankState& s = state_;
+        const std::size_t num_words = words(n);
 
-        std::vector<VertexId> frontier;
-        frontier.reserve(view.dirty().size());
         for (VertexId v : view.dirty()) {
             if (v >= n) {
                 continue;
             }
-            state_.in_frontier.push_unique(v, frontier);
-            // The dirty vertex's out-degree may have changed: every
-            // out-neighbor's pull input did too (the seeding gap).
+            // The dirty vertex's out-degree may have changed: its memoized
+            // contribution and every out-neighbor's pull input did too
+            // (the seeding gap).
+            const std::uint32_t out = view.degree(v, Direction::kOut);
+            s.contrib[v] = contribution(s.rank[v], out);
+            mark(s.frontier, v);
             for (const Neighbor& w : view.edges(v, Direction::kOut)) {
-                meter->traverse();
-                state_.in_frontier.push_unique(w.id, frontier);
+                mark(s.frontier, w.id);
             }
+            meter->traverse(out);
         }
-        meter->seed(frontier.size());
+        std::uint64_t active = popcount(s.frontier);
+        meter->seed(active);
 
-        for (std::uint32_t it = 0;
-             it < params_.max_iterations && !frontier.empty(); ++it) {
+        for (std::uint32_t it = 0; it < params_.max_iterations && active > 0;
+             ++it) {
             meter->iteration();
-            std::vector<VertexId> next_frontier;
-            for (VertexId v : frontier) {
-                state_.in_frontier.clear(v);
-            }
-            for (VertexId v : frontier) {
-                meter->activate();
-                double sum = 0.0;
-                for (const Neighbor& u : view.edges(v, Direction::kIn)) {
-                    meter->traverse();
-                    const auto deg = view.degree(u.id, Direction::kOut);
-                    if (deg > 0) {
-                        sum += state_.rank[u.id] / static_cast<double>(deg);
+            meter->activate(active);
+            for (std::size_t i = 0; i < num_words; ++i) {
+                std::uint64_t bits = s.frontier[i];
+                s.frontier[i] = 0;
+                while (bits != 0) {
+                    const auto v = static_cast<VertexId>(
+                        i * 64 + static_cast<std::size_t>(
+                                     std::countr_zero(bits)));
+                    bits &= bits - 1;
+                    double sum = 0.0;
+                    for (const Neighbor& u : view.edges(v, Direction::kIn)) {
+                        sum += s.contrib[u.id];
+                    }
+                    meter->traverse(view.degree(v, Direction::kIn));
+                    const double new_rank = base + params_.damping * sum;
+                    const bool changed =
+                        std::abs(new_rank - s.rank[v]) > params_.tolerance;
+                    const std::uint32_t out = view.degree(v, Direction::kOut);
+                    s.rank[v] = new_rank;
+                    s.contrib[v] = contribution(new_rank, out);
+                    if (changed) {
+                        for (const Neighbor& w :
+                             view.edges(v, Direction::kOut)) {
+                            mark(s.next_frontier, w.id);
+                        }
+                        meter->traverse(out);
                     }
                 }
-                const double new_rank = base + params_.damping * sum;
-                const bool changed =
-                    std::abs(new_rank - state_.rank[v]) > params_.tolerance;
-                state_.rank[v] = new_rank;
-                if (changed) {
-                    for (const Neighbor& w : view.edges(v, Direction::kOut)) {
-                        meter->traverse();
-                        state_.in_frontier.push_unique(w.id, next_frontier);
-                    }
-                }
             }
-            frontier.swap(next_frontier);
+            s.frontier.swap(s.next_frontier);
+            active = popcount(s.frontier);
         }
-        for (VertexId v : frontier) {
-            state_.in_frontier.clear(v); // iteration cap hit; clear residue
-        }
+        // A round stopped by the iteration cap leaves its frontier set:
+        // the next delta round resumes it.
         return stats_delta(meter->stats(), before);
     }
 
   private:
+    static std::size_t words(std::size_t n) { return (n + 63) / 64; }
+
+    static void
+    mark(std::vector<std::uint64_t>& bitmap, VertexId v)
+    {
+        bitmap[v >> 6] |= std::uint64_t{1} << (v & 63);
+    }
+
+    static std::uint64_t
+    popcount(const std::vector<std::uint64_t>& bitmap)
+    {
+        std::uint64_t total = 0;
+        for (const std::uint64_t word : bitmap) {
+            total += static_cast<std::uint64_t>(std::popcount(word));
+        }
+        return total;
+    }
+
+    static double
+    contribution(double rank, std::uint32_t out_degree)
+    {
+        return out_degree > 0 ? rank / static_cast<double>(out_degree) : 0.0;
+    }
+
+    /** contrib := rank / out_degree over the first `n` vertices. */
+    void
+    refresh_contributions(std::size_t n)
+    {
+        for (VertexId v = 0; v < n; ++v) {
+            state_.contrib[v] =
+                contribution(state_.rank[v], state_.out_degree[v]);
+        }
+    }
+
     PageRankParams params_;
     RankState state_;
 };

@@ -5,11 +5,13 @@
  * The incremental kernels (analytics/incremental/{pagerank,sssp,bfs}.h)
  * keep their converged per-vertex values between compute rounds and
  * re-settle only the region the epoch's dirty set can reach (DESIGN.md
- * §14).  This header holds the shared state containers: a reusable
- * frontier membership bitmap and the per-algorithm memo vectors.  All
- * state grows monotonically with the vertex space and is reused across
- * epochs — steady-state delta rounds allocate only for frontier
- * vectors.
+ * §14).  This header holds the shared state containers: the SSSP/BFS
+ * frontier membership bitmap, and the per-algorithm memo vectors.
+ * PageRank's state also carries its memoized contributions, its two
+ * word-bitmap frontiers and the full rerun's scratch.  All state grows
+ * with the vertex space and is reused across epochs: steady-state
+ * PageRank rounds allocate nothing, and SSSP/BFS allocate only for their
+ * frontier vectors.
  */
 #ifndef IGS_ANALYTICS_INCREMENTAL_STATE_H
 #define IGS_ANALYTICS_INCREMENTAL_STATE_H
@@ -71,21 +73,24 @@ class FrontierBitmap {
     std::vector<bool> bits_;
 };
 
-/** Memoized PageRank state: converged ranks + frontier scratch. */
+/** Memoized PageRank state: converged ranks, their memoized
+ *  contributions, the delta round's frontiers and full_rerun's scratch. */
 struct RankState {
     std::vector<double> rank;
-    FrontierBitmap in_frontier;
+    /** rank[v] / outdeg(v), or 0 for a vertex with no out-edges: what
+     *  each out-neighbour of v pulls.  Rewritten with rank[v]. */
+    std::vector<double> contrib;
+    /** Delta-round frontiers, one bit per vertex.  `frontier` is the
+     *  current sweep's; bits it keeps after a round (iteration cap hit)
+     *  are the next delta round's leftover work. */
+    std::vector<std::uint64_t> frontier;
+    std::vector<std::uint64_t> next_frontier;
+    /** full_rerun scratch: the Jacobi iterate and each vertex's
+     *  out-degree, read once per rerun. */
+    std::vector<double> next;
+    std::vector<std::uint32_t> out_degree;
     /** A full rerun has populated `rank` for the current vertex space. */
     bool warm = false;
-
-    void
-    ensure(std::size_t n, double init)
-    {
-        if (rank.size() < n) {
-            rank.resize(n, init);
-        }
-        in_frontier.ensure(n);
-    }
 };
 
 /** Memoized SSSP state: settled distances + trim/frontier scratch. */

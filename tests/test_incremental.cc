@@ -7,11 +7,15 @@
  * references on all three storage backends, with SSSP/BFS asserted
  * *exactly* equal and PageRank equal within tolerance every epoch.
  * The adversarial deletion-stress stream (delete bursts,
- * delete-then-reinsert-same-edge) runs through the same harness.
+ * delete-then-reinsert-same-edge) runs through the same harness, and
+ * the delta PageRank sweep is pinned against static_pagerank where a
+ * memoized contribution could go stale, after a capped round, and on
+ * its seed count.
  *
  * Seeds are overridable via $IGS_TEST_SEED and printed on failure
  * (testutil::seed_trace).
  */
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -19,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "analytics/incremental/analytics.h"
+#include "analytics/pagerank.h"
 #include "analytics/sssp.h"
 #include "analytics/traversal.h"
 #include "gen/deletion_stress.h"
@@ -307,6 +312,251 @@ TEST(IncrementalEquivalence, DeletionStressHybridStore)
         SCOPED_TRACE(seed_trace(seed));
         graph::HybridStore g(256, tight_tuning());
         expect_incremental_matches_full(g, stress_epochs(seed, 16, 128));
+    }
+}
+
+// ------------------------------------------ delta PageRank sweep kernel
+
+/** Every rank within 1e-8 of a tight from-scratch static_pagerank. */
+template <typename Graph>
+void
+expect_ranks_match_static(const std::vector<double>& ranks, const Graph& g)
+{
+    const std::vector<double> want =
+        analytics::static_pagerank(g, tight_pagerank());
+    ASSERT_EQ(ranks.size(), want.size());
+    for (std::size_t v = 0; v < want.size(); ++v) {
+        EXPECT_NEAR(ranks[v], want[v], 1e-8) << "vertex " << v;
+    }
+}
+
+/** Largest |rank - static_pagerank| over every vertex. */
+template <typename Graph>
+double
+max_rank_error(const std::vector<double>& ranks, const Graph& g)
+{
+    const std::vector<double> want =
+        analytics::static_pagerank(g, tight_pagerank());
+    double worst = 0.0;
+    for (std::size_t v = 0; v < want.size(); ++v) {
+        worst = std::max(worst, std::abs(ranks[v] - want[v]));
+    }
+    return worst;
+}
+
+/**
+ * The churn workload's shape at test size: a build-up prefix in one
+ * epoch, then alternating whole-batch delete bursts and reinsert bursts.
+ * Every epoch after the first runs the delta kernel at the equivalence
+ * harness's tolerance and must land on the from-scratch fixpoint.
+ */
+template <typename Graph>
+void
+expect_churn_delta_matches_static(Graph& g, std::uint64_t seed)
+{
+    gen::DeletionStressModel m;
+    m.num_vertices = 512;
+    m.build_edges = 2048;
+    m.burst = 128;
+    m.seed = seed;
+    gen::DeletionStressGenerator generator(m);
+    IncrementalConfig cfg = harness_config(IncrementalPolicy::kDeltaPropagate);
+    cfg.run_sssp = false;
+    cfg.run_bfs = false;
+    IncrementalAnalytics inc(cfg);
+    stream::PendingAccumulator acc;
+    constexpr EpochId kEpochs = 13;
+    for (EpochId epoch = 1; epoch <= kEpochs; ++epoch) {
+        const auto ops = generator.take(epoch == 1 ? m.build_edges : m.burst);
+        apply_batch(g, ops);
+        acc.note_batch(stream::EdgeBatch(epoch, ops));
+        (void)inc.on_epoch(g, acc.hand_off(epoch));
+        SCOPED_TRACE("epoch=" + std::to_string(epoch));
+        expect_ranks_match_static(inc.pagerank().ranks(), g);
+    }
+    EXPECT_EQ(inc.delta_epochs(), kEpochs - 1);
+}
+
+TEST(IncrementalPageRank, ChurnStreamDeltaMatchesStaticOnAllBackends)
+{
+    for (const std::uint64_t seed : harness_seeds({151, 152})) {
+        SCOPED_TRACE(seed_trace(seed));
+        {
+            graph::AdjacencyList g(512);
+            expect_churn_delta_matches_static(g, seed);
+        }
+        {
+            graph::DegreeAwareHash g(512, tight_tuning());
+            expect_churn_delta_matches_static(g, seed);
+        }
+        {
+            graph::HybridStore g(512, tight_tuning());
+            expect_churn_delta_matches_static(g, seed);
+        }
+    }
+}
+
+/** A kernel over a fixed-size graph, driven one edge-op epoch at a time. */
+struct DeltaDriver {
+    graph::AdjacencyList g;
+    analytics::incremental::PageRank pr{tight_pagerank()};
+
+    explicit DeltaDriver(std::size_t n) : g(n) {}
+
+    analytics::ComputeStats
+    apply(const std::vector<StreamEdge>& ops)
+    {
+        apply_batch(g, ops);
+        std::vector<VertexId> dirty;
+        for (const StreamEdge& e : ops) {
+            dirty.push_back(e.src);
+            dirty.push_back(e.dst);
+        }
+        std::sort(dirty.begin(), dirty.end());
+        dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+        return pr.delta_propagate(g.dirty_view(dirty));
+    }
+};
+
+TEST(IncrementalPageRank, VertexLosingAndRegainingItsLastOutEdge)
+{
+    // 5 feeds 2 and 3; 2 and 3 feed 5 back, so 5's rank does not move
+    // when only its out-edges change.  2 < 5 pulls 5's contribution in
+    // the sweep before 5 itself is visited: a contribution left at its
+    // old out-degree would go unnoticed.
+    DeltaDriver d(8);
+    apply_batch(d.g, {{5, 2, 1.0f, false},
+                      {5, 3, 1.0f, false},
+                      {2, 5, 1.0f, false},
+                      {3, 5, 1.0f, false},
+                      {1, 5, 1.0f, false}});
+    d.pr.full_rerun(d.g);
+    d.apply({{5, 3, 1.0f, true}});
+    expect_ranks_match_static(d.pr.ranks(), d.g);
+    d.apply({{5, 2, 1.0f, true}}); // 5 loses its last out-edge
+    expect_ranks_match_static(d.pr.ranks(), d.g);
+    d.apply({{5, 2, 1.0f, false}}); // and regains it
+    expect_ranks_match_static(d.pr.ranks(), d.g);
+    d.apply({{5, 4, 1.0f, false}, {5, 6, 1.0f, false}});
+    expect_ranks_match_static(d.pr.ranks(), d.g);
+}
+
+TEST(IncrementalPageRank, SelfLoopChangesOwnContribution)
+{
+    DeltaDriver d(6);
+    apply_batch(d.g, {{4, 1, 1.0f, false},
+                      {1, 4, 1.0f, false},
+                      {0, 4, 1.0f, false},
+                      {4, 2, 1.0f, false}});
+    d.pr.full_rerun(d.g);
+    d.apply({{4, 4, 1.0f, false}}); // 4 now pulls its own contribution
+    expect_ranks_match_static(d.pr.ranks(), d.g);
+    d.apply({{4, 3, 1.0f, false}});
+    expect_ranks_match_static(d.pr.ranks(), d.g);
+    d.apply({{4, 4, 1.0f, true}});
+    expect_ranks_match_static(d.pr.ranks(), d.g);
+}
+
+TEST(IncrementalPageRank, AlternatingFullAndDeltaEpochs)
+{
+    for (const std::uint64_t seed : harness_seeds({161, 162})) {
+        SCOPED_TRACE(seed_trace(seed));
+        DeltaDriver d(300);
+        const auto epochs = mixed_epochs(seed, 10, 120);
+        d.pr.full_rerun(d.g);
+        for (std::size_t i = 0; i < epochs.size(); ++i) {
+            SCOPED_TRACE("epoch=" + std::to_string(i));
+            if (i % 2 == 0) {
+                apply_batch(d.g, epochs[i]);
+                d.pr.full_rerun(d.g); // the memo must be rebuilt here
+            } else {
+                d.apply(epochs[i]);
+            }
+            expect_ranks_match_static(d.pr.ranks(), d.g);
+        }
+    }
+}
+
+TEST(IncrementalPageRank, VertexSpaceGrowthRebuildsContributions)
+{
+    analytics::incremental::PageRank pr(tight_pagerank());
+    graph::AdjacencyList small(4);
+    apply_batch(small, {{0, 1, 1.0f, false}, {1, 2, 1.0f, false}});
+    pr.full_rerun(small);
+    graph::AdjacencyList big(9);
+    apply_batch(big, {{0, 1, 1.0f, false},
+                      {1, 2, 1.0f, false},
+                      {7, 1, 1.0f, false},
+                      {2, 7, 1.0f, false}});
+    const std::vector<VertexId> grown{2, 7};
+    pr.delta_propagate(big.dirty_view(grown)); // falls back to full
+    expect_ranks_match_static(pr.ranks(), big);
+    // A delta round on the grown space pulls the rebuilt contributions.
+    apply_batch(big, {{8, 0, 1.0f, false}});
+    const std::vector<VertexId> dirty{0, 8};
+    const auto stats = pr.delta_propagate(big.dirty_view(dirty));
+    EXPECT_GT(stats.seeds, 0u);
+    expect_ranks_match_static(pr.ranks(), big);
+}
+
+TEST(IncrementalPageRank, CappedRoundLeavesFrontierForTheNextRound)
+{
+    // A descending chain 20 -> 19 -> ... -> 0: an ascending sweep moves a
+    // change at the top down one hop per iteration.
+    DeltaDriver d(21);
+    std::vector<StreamEdge> chain;
+    for (VertexId v = 0; v < 20; ++v) {
+        chain.push_back({v + 1, v, 1.0f, false});
+    }
+    apply_batch(d.g, chain);
+    d.pr.full_rerun(d.g);
+
+    d.pr.set_max_iterations(1);
+    const auto capped = d.apply({{0, 20, 1.0f, false}});
+    EXPECT_EQ(capped.iterations, 1u);
+    EXPECT_GT(max_rank_error(d.pr.ranks(), d.g), 1e-6);
+
+    // Nothing new is dirty; the uncapped round resumes the frontier the
+    // capped one stopped on and reaches the fixpoint.
+    d.pr.set_max_iterations(tight_pagerank().max_iterations);
+    const auto resumed = d.apply({});
+    EXPECT_GT(resumed.seeds, 0u);
+    EXPECT_GT(resumed.iterations, 1u);
+    expect_ranks_match_static(d.pr.ranks(), d.g);
+
+    // ...and leaves no frontier behind.
+    const auto quiet = d.apply({});
+    EXPECT_EQ(quiet.seeds, 0u);
+    EXPECT_EQ(quiet.iterations, 0u);
+    EXPECT_EQ(quiet.activations, 0u);
+}
+
+TEST(IncrementalPageRank, SeedsAreDirtySetAndItsOutNeighbors)
+{
+    for (const std::uint64_t seed : harness_seeds({171, 172, 173})) {
+        SCOPED_TRACE(seed_trace(seed));
+        graph::AdjacencyList g(300);
+        const auto epochs = mixed_epochs(seed, 3, 200);
+        analytics::incremental::PageRank pr(tight_pagerank());
+        apply_batch(g, epochs[0]);
+        pr.full_rerun(g);
+        stream::PendingAccumulator acc;
+        for (EpochId epoch = 1; epoch < epochs.size(); ++epoch) {
+            apply_batch(g, epochs[epoch]);
+            acc.note_batch(stream::EdgeBatch(epoch, epochs[epoch]));
+            const auto work = acc.hand_off(epoch);
+            std::vector<bool> expected(g.num_vertices(), false);
+            for (const VertexId v : work.affected) {
+                expected[v] = true;
+                for (const Neighbor& w : g.edges(v, Direction::kOut)) {
+                    expected[w.id] = true;
+                }
+            }
+            const auto stats = pr.delta_propagate(g.dirty_view(work.affected));
+            EXPECT_EQ(stats.seeds, static_cast<std::uint64_t>(std::count(
+                                       expected.begin(), expected.end(), true)));
+            expect_ranks_match_static(pr.ranks(), g);
+        }
     }
 }
 

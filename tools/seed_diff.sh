@@ -4,8 +4,9 @@
 # Exports <base-rev> with `git archive` into a temporary directory outside
 # the repository and builds the figure/table benches of that export and of
 # the working tree: every igs_add_bench target in bench/CMakeLists.txt
-# except the host-wall-clock bench_micro_* ones and bench_golden_replay
-# (it needs a --set, and `ctest -L golden` already diffs it).  Runs each
+# except the host-wall-clock ones (bench_micro_*, bench_analytics_wall)
+# and bench_golden_replay (it needs a --set, and `ctest -L golden`
+# already diffs it).  Runs each
 # bench in both trees at IGS_BENCH_SCALE=<scale> (default 0.3) and
 # byte-diffs their stdout.  Figure-bench stdout is deterministic, so any
 # difference is a behaviour change.
@@ -37,7 +38,8 @@ git -C "$repo" archive "$base_sha" | tar -x -C "$work/base"
 benches() {
     sed -n 's/^igs_add_bench(\(bench_[A-Za-z0-9_]*\))$/\1/p' \
         "$1/bench/CMakeLists.txt" |
-        grep -v -e '^bench_micro_' -e '^bench_golden_replay$'
+        grep -v -e '^bench_micro_' -e '^bench_analytics_wall$' \
+            -e '^bench_golden_replay$'
 }
 
 # build <source-dir> <build-dir> <target>...
