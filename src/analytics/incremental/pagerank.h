@@ -83,7 +83,6 @@ class PageRank {
         RankState& s = state_;
         s.rank.assign(n, init);
         s.contrib.resize(n);
-        s.next.resize(n);
         s.out_degree.resize(n);
         s.frontier.assign(words(n), 0);
         s.next_frontier.assign(words(n), 0);
@@ -98,6 +97,8 @@ class PageRank {
         for (std::uint32_t it = 0; it < params_.max_iterations; ++it) {
             meter->iteration();
             double error = 0.0;
+            // Sums read only `contrib`, which holds this iteration's
+            // input ranks, so each new rank can overwrite its old one.
             refresh_contributions(n);
             for (VertexId v = 0; v < n; ++v) {
                 double sum = 0.0;
@@ -106,10 +107,10 @@ class PageRank {
                 }
                 meter->activate();
                 meter->traverse(g.degree(v, Direction::kIn));
-                s.next[v] = base + params_.damping * sum;
-                error += std::abs(s.next[v] - s.rank[v]);
+                const double next = base + params_.damping * sum;
+                error += std::abs(next - s.rank[v]);
+                s.rank[v] = next;
             }
-            s.rank.swap(s.next);
             if (error < params_.tolerance) {
                 break;
             }

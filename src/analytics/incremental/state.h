@@ -85,9 +85,8 @@ struct RankState {
      *  are the next delta round's leftover work. */
     std::vector<std::uint64_t> frontier;
     std::vector<std::uint64_t> next_frontier;
-    /** full_rerun scratch: the Jacobi iterate and each vertex's
-     *  out-degree, read once per rerun. */
-    std::vector<double> next;
+    /** full_rerun scratch: each vertex's out-degree, read once per
+     *  rerun. */
     std::vector<std::uint32_t> out_degree;
     /** A full rerun has populated `rank` for the current vertex space. */
     bool warm = false;
