@@ -6,9 +6,10 @@
  * Replays perfbench's `churn-epochs` and `wiki-epochs` inputs (seed 1,
  * with the streams, engine settings and analytics settings of
  * perfbench/harness/workloads.h, PageRank at tolerance 1e-12 and 250
- * iterations) through AnyRealTimeEngine on a 1-thread pool.  Each published epoch
- * takes IncrementalAnalytics' full-vs-delta decision and runs PageRank,
- * SSSP and BFS, each timed on its own.
+ * iterations) through AnyRealTimeEngine on a 1-thread pool.  Each
+ * published epoch runs three IncrementalAnalytics bundles, one per kernel
+ * (PageRank, SSSP, BFS), each timed on its own and split by the full-vs-
+ * delta decision its on_epoch returns.
  *
  * Method: one untimed warm-up pass, then `reps` timed passes, each on a
  * fresh engine; churn's build-up prefix is loaded before timing starts.
@@ -34,14 +35,14 @@
 #include "gen/datasets.h"
 #include "gen/deletion_stress.h"
 #include "graph/snapshot_view.h"
-#include "stream/compute_policy.h"
 #include "stream/pending.h"
 
 namespace {
 
 using namespace igs;
-using analytics::ComputeMeter;
 using analytics::ComputeStats;
+using analytics::incremental::IncrementalAnalytics;
+using analytics::incremental::IncrementalConfig;
 using Clock = std::chrono::steady_clock;
 
 /**
@@ -113,10 +114,10 @@ engine_config(const Workload& w)
     return c;
 }
 
-analytics::incremental::IncrementalConfig
+IncrementalConfig
 analytics_config(const core::EngineConfig& engine)
 {
-    analytics::incremental::IncrementalConfig c;
+    IncrementalConfig c;
     c.policy = engine.incremental;
     c.pagerank.tolerance = 1e-12;
     c.pagerank.max_iterations = 250;
@@ -139,15 +140,17 @@ struct Split {
 using Splits = std::array<std::array<Split, 2>, kNumKernels>;
 
 /**
- * The incremental bundle's kernels behind its per-epoch decision
- * (IncrementalAnalytics::on_epoch), with each kernel timed on its own.
+ * The incremental bundle split by kernel: one IncrementalAnalytics per
+ * kernel, each running only that kernel, so each kernel is timed on its
+ * own behind the bundle's own full-vs-delta decision.
  */
 class TimedKernels {
   public:
-    TimedKernels(const analytics::incremental::IncrementalConfig& cfg,
-                 Splits& splits)
-        : cfg_(cfg), pagerank_(cfg.pagerank), sssp_(cfg.sssp_source),
-          bfs_(cfg.bfs_source), splits_(&splits)
+    TimedKernels(const IncrementalConfig& cfg, Splits& splits)
+        : bundles_{IncrementalAnalytics(only(cfg, 0)),
+                   IncrementalAnalytics(only(cfg, 1)),
+                   IncrementalAnalytics(only(cfg, 2))},
+          splits_(&splits)
     {
     }
 
@@ -161,61 +164,43 @@ class TimedKernels {
 
     const analytics::incremental::PageRank& pagerank() const
     {
-        return pagerank_;
+        return bundles_[0].pagerank();
     }
 
     void
     on_epoch(const graph::SnapshotView& snap, const stream::PendingWork& work)
     {
-        const auto stats =
-            stream::EpochInputStats::measure(work, snap.num_vertices());
-        const bool delta = warm_ && stream::use_delta(cfg_.policy, stats);
-        warm_ = true;
-        const auto view = snap.dirty_view(work.affected);
-        time(0, delta, [&](ComputeMeter* m) {
-            return delta ? pagerank_.delta_propagate(view, m)
-                         : pagerank_.full_rerun(snap, m);
-        });
-        time(1, delta, [&](ComputeMeter* m) {
-            return delta ? sssp_.delta_update(view, work.inserted,
-                                              work.deleted, m)
-                         : sssp_.full_rerun(snap, m);
-        });
-        time(2, delta, [&](ComputeMeter* m) {
-            return delta ? bfs_.delta_update(view, work.inserted,
-                                             work.deleted, m)
-                         : bfs_.full_rerun(snap, m);
-        });
+        for (std::size_t k = 0; k < kNumKernels; ++k) {
+            const Clock::time_point t0 = Clock::now();
+            const auto decision = bundles_[k].on_epoch(snap, work);
+            const double ms =
+                std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                    .count();
+            if (!recording_) {
+                continue;
+            }
+            Split& s = (*splits_)[k][decision.delta ? 1 : 0];
+            s.ms.push_back(ms);
+            if (counting_) {
+                ++s.epochs;
+                s.work += decision.work;
+            }
+        }
     }
 
   private:
-    template <typename Run>
-    void
-    time(std::size_t kernel, bool delta, Run&& run)
+    /** `cfg` with only kernel `k` (kKernels order) enabled. */
+    static IncrementalConfig
+    only(IncrementalConfig cfg, std::size_t k)
     {
-        ComputeMeter meter;
-        const Clock::time_point t0 = Clock::now();
-        const ComputeStats work = run(&meter);
-        const double ms =
-            std::chrono::duration<double, std::milli>(Clock::now() - t0)
-                .count();
-        if (!recording_) {
-            return;
-        }
-        Split& s = (*splits_)[kernel][delta ? 1 : 0];
-        s.ms.push_back(ms);
-        if (counting_) {
-            ++s.epochs;
-            s.work += work;
-        }
+        cfg.run_pagerank = k == 0;
+        cfg.run_sssp = k == 1;
+        cfg.run_bfs = k == 2;
+        return cfg;
     }
 
-    analytics::incremental::IncrementalConfig cfg_;
-    analytics::incremental::PageRank pagerank_;
-    analytics::incremental::Sssp sssp_;
-    analytics::incremental::Bfs bfs_;
+    std::array<IncrementalAnalytics, kNumKernels> bundles_;
     Splits* splits_;
-    bool warm_ = false;
     bool recording_ = false;
     bool counting_ = false;
 };

@@ -57,10 +57,6 @@ class PageRank {
     bool warm() const { return state_.warm; }
     const PageRankParams& params() const { return params_; }
 
-    /** Cap the iterations of later rounds.  The memo state is kept, so
-     *  a delta round after a capped one resumes its leftover frontier. */
-    void set_max_iterations(std::uint32_t cap) { params_.max_iterations = cap; }
-
     /**
      * Recompute every rank from scratch (pull-based Jacobi, the
      * static_pagerank iteration) into the memo state.  Used for cold

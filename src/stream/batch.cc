@@ -3,53 +3,36 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/flat_table.h"
+
 namespace igs::stream {
 
 namespace {
 
-/** One open-addressing slot: a vertex and its batch degree (0 = empty). */
-struct DegreeSlot {
-    VertexId id = 0;
-    std::uint32_t degree = 0;
-};
-
 /**
- * Count the batch degree of every distinct `key(e)` in `table` (reset to
- * a power of two at least twice the batch, so the load stays at most 1/2),
- * then fold the counts into `unique`, `max_degree` and N(k).  One flat
- * array per call instead of a hash node per vertex.
+ * Count the batch degree of every distinct `key(e)` in `table`, then fold
+ * the counts into `unique`, `max_degree` and N(k).  Counts accumulate as
+ * whole floats, exact up to 2^24 edges per vertex and batch.
  */
 template <typename Key>
 void
 count_degrees(std::span<const StreamEdge> edges, Key key,
-              std::vector<DegreeSlot>& table, std::uint32_t& unique,
+              FlatWeightTable& table, std::uint32_t& unique,
               std::uint32_t& max_degree, Histogram& histogram)
 {
-    std::size_t slots = 16;
-    while (slots < edges.size() * 2) {
-        slots <<= 1;
-    }
-    table.assign(slots, DegreeSlot{});
-    const std::size_t mask = table.size() - 1;
+    table.reset(edges.size());
     for (const StreamEdge& e : edges) {
-        const VertexId v = key(e);
-        std::size_t i = (static_cast<std::size_t>(v) * 0x9E3779B9u) & mask;
-        while (table[i].degree != 0 && table[i].id != v) {
-            i = (i + 1) & mask;
-        }
-        table[i].id = v;
-        ++table[i].degree;
+        table.add(key(e), 1.0f);
     }
     // N(k) densely first (k <= |batch|), so the sparse histogram takes one
     // insert per distinct degree rather than one per vertex.
     std::vector<std::uint32_t> vertices_of_degree(edges.size() + 1, 0);
-    for (const DegreeSlot& s : table) {
-        if (s.degree != 0) {
-            ++unique;
-            max_degree = std::max(max_degree, s.degree);
-            ++vertices_of_degree[s.degree];
-        }
-    }
+    unique = static_cast<std::uint32_t>(table.size());
+    table.for_each([&](VertexId, Weight count) {
+        const auto degree = static_cast<std::uint32_t>(count);
+        max_degree = std::max(max_degree, degree);
+        ++vertices_of_degree[degree];
+    });
     for (std::uint32_t k = 1; k <= max_degree; ++k) {
         if (vertices_of_degree[k] != 0) {
             histogram.add(k, vertices_of_degree[k]);
@@ -63,7 +46,7 @@ BatchDegreeStats
 compute_batch_degree_stats(std::span<const StreamEdge> edges)
 {
     BatchDegreeStats s;
-    std::vector<DegreeSlot> table; // shared by both directions
+    FlatWeightTable table; // shared by both directions
     count_degrees(
         edges, [](const StreamEdge& e) { return e.src; }, table,
         s.unique_sources, s.max_out_degree, s.out_degree_histogram);
